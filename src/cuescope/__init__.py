@@ -10,6 +10,7 @@ from .engine import (
     TemporalityStatus,
     annotate,
     annotate_batch,
+    annotate_sentence,
     resolve_scopes,
 )
 from .matcher import CueMatch, RuleTrie, build_trie, find_matches_naive, find_matches_trie
@@ -50,6 +51,7 @@ __all__ = [
     "WILDCARD",
     "annotate",
     "annotate_batch",
+    "annotate_sentence",
     "build_trie",
     "find_matches_naive",
     "find_matches_trie",

@@ -17,6 +17,7 @@ from __future__ import annotations
 import gc
 import io
 import csv
+import math
 import platform
 import random
 import statistics
@@ -280,9 +281,29 @@ def check_report(report: BenchReport) -> list[str]:
 
 
 def spearman(xs: Sequence[float], ys: Sequence[float]) -> float:
-    from scipy.stats import spearmanr
+    """Spearman rank correlation, tied values sharing their average rank.
 
-    return float(spearmanr(xs, ys).statistic)
+    NaN when either input is constant, as ``scipy.stats.spearmanr`` gives.
+    """
+    try:
+        return statistics.correlation(_ranks(xs), _ranks(ys))
+    except statistics.StatisticsError:
+        return math.nan
+
+
+def _ranks(values: Sequence[float]) -> list[float]:
+    """1-based ranks of ``values``; a run of equal values gets their mean rank."""
+    order = sorted(range(len(values)), key=values.__getitem__)
+    ranks = [0.0] * len(values)
+    start = 0
+    while start < len(order):
+        end = start + 1
+        while end < len(order) and values[order[end]] == values[order[start]]:
+            end += 1
+        for k in order[start:end]:
+            ranks[k] = (start + end + 1) / 2
+        start = end
+    return ranks
 
 
 @dataclass(frozen=True)

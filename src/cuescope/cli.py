@@ -13,7 +13,9 @@ from typing import IO
 
 from . import bench as bench_mod
 from . import corpus as corpus_mod
-from .engine import ContextAnnotation, InvalidSpan, annotate
+# ``annotate`` is not called here, but perfbench/tracing.py wraps it as
+# ``cli.annotate``, so the name stays.
+from .engine import ContextAnnotation, InvalidSpan, annotate, annotate_batch, annotate_records  # noqa: F401
 from .evaluate import LengthMismatch, score
 from .matcher import build_trie
 from .rules import DuplicateRule, MalformedRule, load_rules, serialize_rules
@@ -107,22 +109,26 @@ def _prediction_dict(annotation: ContextAnnotation) -> dict:
     }
 
 
+def _pairs(records: list[corpus_mod.CorpusRecord]):
+    return ((record.tokens, record.concept) for record in records)
+
+
 def cmd_annotate(args: argparse.Namespace) -> int:
     ruleset = load_rules(args.rules)
     trie = build_trie(ruleset) if args.engine == "trie" else None
     records = _read_records(args.input)
+    results = annotate_records(_pairs(records), ruleset, trie)
     out = _open_out(args.output)
     errors = 0
     try:
-        for index, record in enumerate(records):
+        for index, (record, result) in enumerate(zip(records, results)):
             obj = record.to_dict()
-            try:
-                annotation = annotate(record.tokens, record.concept, ruleset, trie)
-                obj["pred"] = _prediction_dict(annotation)
-            except InvalidSpan as err:
+            if isinstance(result, InvalidSpan):
                 errors += 1
-                obj["error"] = str(err)
-                print(f"record {index}: {err}", file=sys.stderr)
+                obj["error"] = str(result)
+                print(f"record {index}: {result}", file=sys.stderr)
+            else:
+                obj["pred"] = _prediction_dict(result)
             out.write(corpus_mod.dumps_record(obj))
             out.write("\n")
     finally:
@@ -138,12 +144,10 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     ruleset = load_rules(args.rules)
     trie = build_trie(ruleset) if args.engine == "trie" else None
     records = _read_records(args.gold)
-    predictions = []
-    for index, record in enumerate(records):
-        try:
-            predictions.append(annotate(record.tokens, record.concept, ruleset, trie))
-        except InvalidSpan as err:
-            raise corpus_mod.CorpusError(f"record {index}: {err}") from None
+    predictions = annotate_batch(_pairs(records), ruleset, trie)
+    for prediction in predictions:
+        if isinstance(prediction, InvalidSpan):
+            raise corpus_mod.CorpusError(str(prediction))
     report = score(predictions, records)
     sys.stdout.write(report.render_csv() if args.format == "csv" else report.render_text())
     return EXIT_OK

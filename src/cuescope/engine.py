@@ -21,59 +21,38 @@ Matched cues are resolved into per-concept values in four steps:
    historical), then the leftmost cue, then the lowest rule id.
 
 Dimensions without a winning cue keep their defaults: affirmed, patient,
-recent.  All functions here are pure; tokens must be lowercased by the
-caller.
+recent.
+
+Steps 1-3 depend on the sentence only, step 4 on each concept.  So
+:func:`annotate_sentence` matches and resolves a sentence once and assigns
+all its concepts from the same scopes; :func:`annotate` is its
+one-concept case, and :func:`annotate_records` hands each run of
+consecutive records with equal tokens to one such call.  Scope resolution
+reads each rule through ``RuleSet.table``, built once per rule set.  All
+functions here are pure; tokens must be lowercased by the caller.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from enum import Enum
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .matcher import CueMatch, RuleTrie, find_matches_naive, find_matches_trie
-from .rules import CueType, Dimension, Direction, RuleSet, RuleValue
-
-
-class NegationStatus(Enum):
-    AFFIRMED = "affirmed"
-    NEGATED = "negated"
-    POSSIBLE = "possible"
-
-
-class ExperiencerStatus(Enum):
-    PATIENT = "patient"
-    OTHER = "other"
-
-
-class TemporalityStatus(Enum):
-    RECENT = "recent"
-    HISTORICAL = "historical"
-    HYPOTHETICAL = "hypothetical"
-
+from .rules import (
+    CueType,
+    Dimension,
+    Direction,
+    ExperiencerStatus,
+    NegationStatus,
+    RuleEntry,
+    RuleSet,
+    TemporalityStatus,
+)
 
 DEFAULTS = {
     Dimension.NEGATION: NegationStatus.AFFIRMED,
     Dimension.EXPERIENCER: ExperiencerStatus.PATIENT,
     Dimension.TEMPORALITY: TemporalityStatus.RECENT,
-}
-
-#: Annotation value assigned by each rule value.
-ASSIGNED_VALUE = {
-    RuleValue.NEGATED: NegationStatus.NEGATED,
-    RuleValue.POSSIBLE: NegationStatus.POSSIBLE,
-    RuleValue.NONPATIENT: ExperiencerStatus.OTHER,
-    RuleValue.HISTORICAL: TemporalityStatus.HISTORICAL,
-    RuleValue.HYPOTHETICAL: TemporalityStatus.HYPOTHETICAL,
-}
-
-#: Tie-break rank within a dimension; lower wins on exact distance ties.
-_VALUE_RANK = {
-    NegationStatus.POSSIBLE: 0,
-    NegationStatus.NEGATED: 1,
-    ExperiencerStatus.OTHER: 0,
-    TemporalityStatus.HYPOTHETICAL: 0,
-    TemporalityStatus.HISTORICAL: 1,
 }
 
 #: Allowed annotation/gold values per dimension name, as plain strings.
@@ -135,78 +114,61 @@ class ContextAnnotation:
         return self.temporality
 
 
-def _overlaps(a_start: int, a_end: int, b_start: int, b_end: int) -> bool:
-    return a_start < b_end and b_start < a_end
+_PSEUDO, _TRIGGER = CueType.PSEUDO, CueType.TRIGGER
+_FORWARD, _BACKWARD = Direction.FORWARD, Direction.BACKWARD
+_DEFAULT_VALUES = tuple(DEFAULTS[d] for d in Dimension)
 
 
 def resolve_scopes(matches: Sequence[CueMatch], ruleset: RuleSet, sentence_len: int) -> list[Scope]:
     """Apply pseudo suppression, windowing and termination truncation.
 
     Returns the surviving non-empty scopes in match order (bidirectional
-    triggers contribute up to two).
+    triggers contribute up to two, forward first).
     """
-    pseudo_spans: dict[Dimension, list[CueMatch]] = {}
-    triggers: list[CueMatch] = []
-    terminations: list[CueMatch] = []
-    for m in matches:
-        rule = ruleset[m.rule_id]
-        if rule.cue_type is CueType.PSEUDO:
-            pseudo_spans.setdefault(rule.dimension, []).append(m)
-        elif rule.cue_type is CueType.TRIGGER:
-            triggers.append(m)
-        else:
-            terminations.append(m)
-
-    def suppressed(m: CueMatch, dimension: Dimension) -> bool:
-        return any(
-            _overlaps(m.start, m.end, p.start, p.end)
-            for p in pseudo_spans.get(dimension, ())
-        )
-
-    # Terminations that survive pseudo suppression, keyed by the side they
-    # stop; a bidirectional termination stops both sides.
-    forward_stops: dict[Dimension, list[CueMatch]] = {}
-    backward_stops: dict[Dimension, list[CueMatch]] = {}
-    for m in terminations:
-        rule = ruleset[m.rule_id]
-        if suppressed(m, rule.dimension):
+    if not matches:
+        return []
+    table = ruleset.table
+    rows = [(m, table[m.rule_id]) for m in matches]
+    pseudos = [(m.start, m.end, e.dim_index) for m, e in rows if e.cue_type is _PSEUDO]
+    triggers: list[tuple[CueMatch, RuleEntry]] = []
+    # (token, dimension index) of the terminations that survive
+    # suppression, by the side they stop; a bidirectional one stops both
+    forward_stops: list[tuple[int, int]] = []
+    backward_stops: list[tuple[int, int]] = []
+    for m, e in rows:
+        if e.cue_type is _PSEUDO:
             continue
-        if rule.direction in (Direction.FORWARD, Direction.BIDIRECTIONAL):
-            forward_stops.setdefault(rule.dimension, []).append(m)
-        if rule.direction in (Direction.BACKWARD, Direction.BIDIRECTIONAL):
-            backward_stops.setdefault(rule.dimension, []).append(m)
+        if pseudos and any(
+            dim == e.dim_index and start < m.end and m.start < end for start, end, dim in pseudos
+        ):
+            continue
+        if e.cue_type is _TRIGGER:
+            triggers.append((m, e))
+            continue
+        if e.forward:
+            forward_stops.append((m.start, e.dim_index))
+        if e.backward:
+            backward_stops.append((m.end, e.dim_index))
 
     scopes: list[Scope] = []
-
-    def add_forward(m: CueMatch, rule) -> None:
-        start = m.end
-        end = min(m.end + rule.window, sentence_len)
-        # a forward-stopping termination starting inside the scope cuts it
-        for t in forward_stops.get(rule.dimension, ()):
-            if start < t.start < end:
-                end = t.start
-        if start < end:
-            scopes.append(Scope(m, rule.dimension, ASSIGNED_VALUE[rule.value],
-                                start, end, Direction.FORWARD))
-
-    def add_backward(m: CueMatch, rule) -> None:
-        start = max(m.start - rule.window, 0)
-        end = m.start
-        for t in backward_stops.get(rule.dimension, ()):
-            if start < t.end < end:
-                start = t.end
-        if start < end:
-            scopes.append(Scope(m, rule.dimension, ASSIGNED_VALUE[rule.value],
-                                start, end, Direction.BACKWARD))
-
-    for m in triggers:
-        rule = ruleset[m.rule_id]
-        if suppressed(m, rule.dimension):
-            continue
-        if rule.direction in (Direction.FORWARD, Direction.BIDIRECTIONAL):
-            add_forward(m, rule)
-        if rule.direction in (Direction.BACKWARD, Direction.BIDIRECTIONAL):
-            add_backward(m, rule)
+    for m, (_, dim, dimension, forward, backward, window, value, _) in triggers:
+        if forward:
+            start = m.end
+            end = min(start + window, sentence_len)
+            # a forward-stopping termination starting inside the scope cuts it
+            for stop, stop_dim in forward_stops:
+                if stop_dim == dim and start < stop < end:
+                    end = stop
+            if start < end:
+                scopes.append(Scope(m, dimension, value, start, end, _FORWARD))
+        if backward:
+            end = m.start
+            start = max(end - window, 0)
+            for stop, stop_dim in backward_stops:
+                if stop_dim == dim and start < stop < end:
+                    start = stop
+            if start < end:
+                scopes.append(Scope(m, dimension, value, start, end, _BACKWARD))
     return scopes
 
 
@@ -217,6 +179,72 @@ def _cue_distance(cue: CueMatch, concept: ConceptSpan) -> int:
     return cue.start - concept.end
 
 
+def _assign(scopes: list[Scope], table: tuple[RuleEntry, ...], concept: ConceptSpan) -> ContextAnnotation:
+    """Per dimension, the nearest-cue scope intersecting ``concept``."""
+    best: dict[int, tuple[tuple, Scope]] = {}
+    c_start, c_end = concept.start, concept.end
+    for scope in scopes:
+        if scope.end <= c_start or c_end <= scope.start:
+            continue
+        cue = scope.cue
+        if cue.start < c_end and c_start < cue.end:
+            continue  # a cue never modifies a concept it is part of
+        entry = table[cue.rule_id]
+        key = (_cue_distance(cue, concept), entry.rank, cue.start, cue.rule_id)
+        current = best.get(entry.dim_index)
+        if current is None or key < current[0]:
+            best[entry.dim_index] = (key, scope)
+    if not best:
+        return ContextAnnotation()
+    values = list(_DEFAULT_VALUES)
+    evidence: dict[Dimension, CueMatch] = {}
+    for dim, (_, scope) in best.items():
+        values[dim] = scope.value
+        evidence[scope.dimension] = scope.cue
+    return ContextAnnotation(values[0], values[1], values[2], evidence)
+
+
+def _check_trie(trie: RuleTrie | None, ruleset: RuleSet) -> None:
+    if trie is not None and trie.ruleset is not ruleset and trie.ruleset != ruleset:
+        raise ValueError("the trie was built from a different rule set")
+
+
+def annotate_sentence(
+    tokens: Sequence[str],
+    concepts: Sequence[ConceptSpan],
+    ruleset: RuleSet,
+    trie: RuleTrie | None = None,
+) -> list[ContextAnnotation | InvalidSpan]:
+    """Classify every concept mention of one sentence.
+
+    The sentence is matched and its scopes resolved once, and only when
+    at least one concept span is valid; each concept is then assigned
+    from the same scopes.  Returns one result per concept, in order: its
+    annotation, or an :class:`InvalidSpan` (not raised) when the concept
+    lies outside the token range.  Matching runs through ``trie`` when
+    given, else through the naive reference matcher; the result is
+    identical either way.  Raises ``ValueError`` when ``trie`` was built
+    from a different rule set.
+    """
+    _check_trie(trie, ruleset)
+    n = len(tokens)
+    valid = [0 <= c.start < c.end <= n for c in concepts]
+    scopes: list[Scope] = []
+    if any(valid):
+        if trie is not None:
+            matches = find_matches_trie(trie, tokens)
+        else:
+            matches = find_matches_naive(ruleset, tokens)
+        scopes = resolve_scopes(matches, ruleset, n)
+    table = ruleset.table
+    return [
+        _assign(scopes, table, concept) if ok else InvalidSpan(
+            f"concept [{concept.start}, {concept.end}) outside token range of length {n}"
+        )
+        for concept, ok in zip(concepts, valid)
+    ]
+
+
 def annotate(
     tokens: Sequence[str],
     concept: ConceptSpan,
@@ -225,42 +253,40 @@ def annotate(
 ) -> ContextAnnotation:
     """Classify one concept mention within one sentence.
 
-    Matching runs through ``trie`` when given, else through the naive
-    reference matcher; the result is identical either way.  Raises
-    :class:`InvalidSpan` when the concept lies outside the token range.
+    Same as :func:`annotate_sentence` with one concept, except that it
+    raises the :class:`InvalidSpan` when the concept lies outside the
+    token range.
     """
-    n = len(tokens)
-    if not (0 <= concept.start < concept.end <= n):
-        raise InvalidSpan(f"concept [{concept.start}, {concept.end}) outside token range of length {n}")
-    if trie is not None:
-        matches = find_matches_trie(trie, tokens)
-    else:
-        matches = find_matches_naive(ruleset, tokens)
-    scopes = resolve_scopes(matches, ruleset, n)
+    (result,) = annotate_sentence(tokens, (concept,), ruleset, trie)
+    if isinstance(result, InvalidSpan):
+        raise result
+    return result
 
-    best: dict[Dimension, tuple[tuple, Scope]] = {}
-    for scope in scopes:
-        if not _overlaps(scope.start, scope.end, concept.start, concept.end):
-            continue
-        cue = scope.cue
-        if _overlaps(cue.start, cue.end, concept.start, concept.end):
-            continue  # a cue never modifies a concept it is part of
-        key = (_cue_distance(cue, concept), _VALUE_RANK[scope.value], cue.start, cue.rule_id)
-        current = best.get(scope.dimension)
-        if current is None or key < current[0]:
-            best[scope.dimension] = (key, scope)
 
-    values = dict(DEFAULTS)
-    evidence: dict[Dimension, CueMatch] = {}
-    for dimension, (_, scope) in best.items():
-        values[dimension] = scope.value
-        evidence[dimension] = scope.cue
-    return ContextAnnotation(
-        negation=values[Dimension.NEGATION],
-        experiencer=values[Dimension.EXPERIENCER],
-        temporality=values[Dimension.TEMPORALITY],
-        evidence=evidence,
-    )
+def annotate_records(
+    records: Iterable[tuple[Sequence[str], ConceptSpan]],
+    ruleset: RuleSet,
+    trie: RuleTrie | None = None,
+) -> Iterator[ContextAnnotation | InvalidSpan]:
+    """Yield the result of each ``(tokens, concept)`` record, in order.
+
+    Each run of consecutive records with equal tokens goes to one
+    :func:`annotate_sentence` call, so a sentence listed once per concept
+    is matched and resolved once; equal sentences that are not adjacent
+    are annotated separately.  Results are yielded as each run ends, and
+    an invalid span is yielded as an untagged :class:`InvalidSpan`.
+    """
+    _check_trie(trie, ruleset)
+    run_tokens: Sequence[str] | None = None
+    concepts: list[ConceptSpan] = []
+    for tokens, concept in records:
+        if tokens != run_tokens:
+            if concepts:
+                yield from annotate_sentence(run_tokens, concepts, ruleset, trie)
+            run_tokens, concepts = tokens, []
+        concepts.append(concept)
+    if concepts:
+        yield from annotate_sentence(run_tokens, concepts, ruleset, trie)
 
 
 def annotate_batch(
@@ -268,16 +294,13 @@ def annotate_batch(
     ruleset: RuleSet,
     trie: RuleTrie | None = None,
 ) -> list[ContextAnnotation | InvalidSpan]:
-    """Annotate records in order, reusing one trie across the batch.
+    """Annotate records in order: :func:`annotate_records` as a list.
 
     Element-wise identical to :func:`annotate`.  A record with an invalid
     concept span yields the :class:`InvalidSpan` (tagged with the record
     index) in its slot; processing continues.
     """
-    results: list[ContextAnnotation | InvalidSpan] = []
-    for index, (tokens, concept) in enumerate(records):
-        try:
-            results.append(annotate(tokens, concept, ruleset, trie))
-        except InvalidSpan as err:
-            results.append(InvalidSpan(str(err), index=index))
-    return results
+    return [
+        InvalidSpan(str(result), index=index) if isinstance(result, InvalidSpan) else result
+        for index, result in enumerate(annotate_records(records, ruleset, trie))
+    ]

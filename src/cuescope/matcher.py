@@ -17,7 +17,7 @@ lowercased by the caller.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 from .rules import WILDCARD, RuleSet
@@ -43,8 +43,15 @@ class TrieNode:
 
 @dataclass(frozen=True, slots=True)
 class RuleTrie:
+    """The phrase index of ``ruleset``, which it keeps so that callers can
+    check a trie is used with the rules it indexes."""
+
     root: TrieNode
-    rule_count: int
+    ruleset: RuleSet = field(repr=False)
+
+    @property
+    def rule_count(self) -> int:
+        return len(self.ruleset)
 
 
 def build_trie(ruleset: RuleSet) -> RuleTrie:
@@ -64,7 +71,7 @@ def build_trie(ruleset: RuleSet) -> RuleTrie:
                     node.children[token] = child
                 node = child
         node.terminal_rules.append(rule.id)
-    return RuleTrie(root=root, rule_count=len(ruleset))
+    return RuleTrie(root=root, ruleset=ruleset)
 
 
 def find_matches_trie(trie: RuleTrie, tokens: Sequence[str]) -> list[CueMatch]:

@@ -22,9 +22,9 @@ from __future__ import annotations
 import dataclasses
 import io
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
-from typing import IO, Iterable, Iterator
+from typing import IO, Iterable, Iterator, NamedTuple
 
 #: Phrase token that matches exactly one arbitrary sentence token.
 WILDCARD = r"\w+"
@@ -70,6 +70,38 @@ VALUE_DIMENSION: dict[RuleValue, Dimension] = {
     RuleValue.NONPATIENT: Dimension.EXPERIENCER,
     RuleValue.HISTORICAL: Dimension.TEMPORALITY,
     RuleValue.HYPOTHETICAL: Dimension.TEMPORALITY,
+}
+
+
+class NegationStatus(Enum):
+    AFFIRMED = "affirmed"
+    NEGATED = "negated"
+    POSSIBLE = "possible"
+
+
+class ExperiencerStatus(Enum):
+    PATIENT = "patient"
+    OTHER = "other"
+
+
+class TemporalityStatus(Enum):
+    RECENT = "recent"
+    HISTORICAL = "historical"
+    HYPOTHETICAL = "hypothetical"
+
+
+Status = NegationStatus | ExperiencerStatus | TemporalityStatus
+
+#: Annotation value each rule value assigns, with its tie-break rank within
+#: the dimension: on exact distance ties the lower rank wins, so the value
+#: that preserves more information (possible over negated, hypothetical
+#: over historical) is kept.
+ASSIGNED_VALUE: dict[RuleValue, tuple[Status, int]] = {
+    RuleValue.NEGATED: (NegationStatus.NEGATED, 1),
+    RuleValue.POSSIBLE: (NegationStatus.POSSIBLE, 0),
+    RuleValue.NONPATIENT: (ExperiencerStatus.OTHER, 0),
+    RuleValue.HISTORICAL: (TemporalityStatus.HISTORICAL, 1),
+    RuleValue.HYPOTHETICAL: (TemporalityStatus.HYPOTHETICAL, 0),
 }
 
 _DIRECTIONS = {d.value: d for d in Direction}
@@ -132,12 +164,48 @@ class ContextRule:
         return (self.phrase, self.direction, self.cue_type, self.value)
 
 
+class RuleEntry(NamedTuple):
+    """What one rule does, in the form scope resolution reads it.
+
+    ``dim_index`` is the position of ``dimension`` in :class:`Dimension`;
+    ``forward``/``backward`` say which sides the cue acts on.
+    """
+
+    cue_type: CueType
+    dim_index: int
+    dimension: Dimension
+    forward: bool
+    backward: bool
+    window: int
+    assigned: Status
+    rank: int
+
+
+_DIM_INDEX = {d: i for i, d in enumerate(Dimension)}
+
+
+def _entry(rule: ContextRule) -> RuleEntry:
+    dimension = rule.dimension
+    assigned, rank = ASSIGNED_VALUE[rule.value]
+    return RuleEntry(
+        rule.cue_type, _DIM_INDEX[dimension], dimension,
+        rule.direction is not Direction.BACKWARD, rule.direction is not Direction.FORWARD,
+        rule.window, assigned, rank,
+    )
+
+
 @dataclass(frozen=True, slots=True)
 class RuleSet:
-    """An ordered, duplicate-free collection of rules with dense ids 0..n-1."""
+    """An ordered, duplicate-free collection of rules with dense ids 0..n-1.
+
+    ``table[i]`` is rule ``i``'s :class:`RuleEntry`, built once here.
+    """
 
     rules: tuple[ContextRule, ...]
-    source: str | None = None
+    table: tuple[RuleEntry, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "table", tuple(_entry(rule) for rule in self.rules))
 
     def __len__(self) -> int:
         return len(self.rules)
@@ -149,7 +217,7 @@ class RuleSet:
         return self.rules[rule_id]
 
     @classmethod
-    def from_rules(cls, rules: Iterable[ContextRule], source: str | None = None) -> "RuleSet":
+    def from_rules(cls, rules: Iterable[ContextRule]) -> "RuleSet":
         """Build a RuleSet, reassigning dense ids and rejecting duplicates."""
         seen: dict[tuple, int] = {}
         out = []
@@ -163,7 +231,7 @@ class RuleSet:
                 )
             seen[key] = i
             out.append(rule if rule.id == i else dataclasses.replace(rule, id=i))
-        return cls(rules=tuple(out), source=source)
+        return cls(rules=tuple(out))
 
 
 def parse_rule_line(line: str, rule_id: int = 0, line_no: int | None = None) -> ContextRule:
@@ -215,17 +283,17 @@ def load_rules(source: str | os.PathLike | IO) -> RuleSet:
     """
     if isinstance(source, (str, os.PathLike)):
         with open(source, "r", encoding="utf-8") as fh:
-            return _load_lines(fh, source=os.fspath(source))
+            return _load_lines(fh)
     if isinstance(source, io.TextIOBase):
-        return _load_lines(source, source=getattr(source, "name", None))
+        return _load_lines(source)
     # binary stream
     text = source.read()
     if isinstance(text, bytes):
         text = text.decode("utf-8")
-    return _load_lines(io.StringIO(text), source=getattr(source, "name", None))
+    return _load_lines(io.StringIO(text))
 
 
-def _load_lines(lines: Iterable[str], source: str | None) -> RuleSet:
+def _load_lines(lines: Iterable[str]) -> RuleSet:
     rules: list[ContextRule] = []
     seen: dict[tuple, int] = {}
     for line_no, raw in enumerate(lines, start=1):
@@ -240,7 +308,7 @@ def _load_lines(lines: Iterable[str], source: str | None) -> RuleSet:
             )
         seen[key] = line_no
         rules.append(rule)
-    return RuleSet(rules=tuple(rules), source=source)
+    return RuleSet(rules=tuple(rules))
 
 
 def serialize_rules(ruleset: RuleSet) -> str:

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from cuescope.bench import (
@@ -150,6 +152,10 @@ def test_config_validation():
 def test_spearman_basics():
     assert spearman([1, 2, 3, 4], [10.0, 20.0, 30.0, 40.0]) == pytest.approx(1.0)
     assert spearman([1, 2, 3, 4], [9.0, 7.0, 5.0, 3.0]) == pytest.approx(-1.0)
+    # ties share their average rank
+    assert spearman([1, 2, 2, 3], [1, 3, 2, 2]) == pytest.approx(0.5)
+    # a constant input has no rank correlation
+    assert math.isnan(spearman([1, 2, 3, 4], [5.0, 5.0, 5.0, 5.0]))
 
 
 def test_accuracy_ramp_reaches_one_on_self_consistent_gold():

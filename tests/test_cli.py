@@ -1,10 +1,15 @@
 import json
+import random
 import subprocess
 import sys
 
 import pytest
 
+from cuescope import cli
 from cuescope.cli import main
+from cuescope.corpus import CorpusRecord, dumps_record, read_corpus, write_corpus
+from cuescope.engine import ConceptSpan, InvalidSpan, annotate
+from cuescope.matcher import build_trie
 
 PAPER_RULES = (
     "can rule out\tforward\ttrigger\tnegated\t10\n"
@@ -134,6 +139,40 @@ def test_annotate_output_file_deterministic(tmp_path, starter_rules_path, hand_g
         assert run_cli("annotate", "--rules", str(starter_rules_path),
                        "--input", str(hand_gold_path), "--output", str(out)) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_annotate_repeated_sentences_as_per_record_annotate(tmp_path, starter_rules_path,
+                                                            starter_rules, hand_gold, capsys):
+    # each hand-gold sentence as a run of 1-4 records, some spans invalid,
+    # then a few sentences again after other sentences
+    rng = random.Random(3)
+    records = []
+    for record in hand_gold:
+        n = len(record.tokens)
+        for _ in range(rng.randint(1, 4)):
+            start = rng.randint(0, n)
+            records.append(CorpusRecord(record.tokens, ConceptSpan(start, rng.randint(start + 1, n + 1)),
+                                        record.gold))
+    records += records[:6]
+    corpus, output = tmp_path / "runs.jsonl", tmp_path / "out.jsonl"
+    with open(corpus, "w", encoding="utf-8") as fh:
+        write_corpus(records, fh)
+    assert run_cli("annotate", "--rules", str(starter_rules_path),
+                   "--input", str(corpus), "--output", str(output)) == 0
+
+    trie = build_trie(starter_rules)
+    expected, errors = [], []
+    for index, record in enumerate(read_corpus(corpus)):
+        obj = record.to_dict()
+        try:
+            obj["pred"] = cli._prediction_dict(annotate(record.tokens, record.concept, starter_rules, trie))
+        except InvalidSpan as err:
+            obj["error"] = str(err)
+            errors.append(f"record {index}: {err}")
+        expected.append(dumps_record(obj) + "\n")
+    assert errors
+    assert output.read_text(encoding="utf-8") == "".join(expected)
+    assert capsys.readouterr().err.splitlines() == errors
 
 
 # --- evaluate ---

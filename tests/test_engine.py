@@ -4,6 +4,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cuescope import engine
+from cuescope.corpus import generate_rules
 from cuescope.engine import (
     ConceptSpan,
     ExperiencerStatus,
@@ -12,9 +14,10 @@ from cuescope.engine import (
     TemporalityStatus,
     annotate,
     annotate_batch,
+    annotate_sentence,
     resolve_scopes,
 )
-from cuescope.matcher import build_trie, find_matches_naive
+from cuescope.matcher import build_trie, find_matches_naive, find_matches_trie
 from cuescope.rules import (
     WILDCARD,
     ContextRule,
@@ -239,19 +242,44 @@ def sentence_and_concept(draw, max_len=10):
     return tokens, ConceptSpan(start, end)
 
 
-@settings(max_examples=300, deadline=None)
-@given(rule_sets(), sentence_and_concept())
-def test_engine_agrees_with_reference_oracle(ruleset, sc):
-    tokens, concept = sc
-    annotation = annotate(tokens, concept, ruleset)
-    expected = reference_annotate(ruleset, tokens, concept.start, concept.end)
+@st.composite
+def sentence_and_concepts(draw, max_len=10):
+    tokens = draw(st.lists(st.sampled_from(["a", "b", "c", "d", "e", "aa"]),
+                           min_size=1, max_size=max_len))
+    n = len(tokens)
+    span = st.tuples(st.integers(0, n - 1), st.integers(1, n)).filter(lambda s: s[0] < s[1])
+    concepts = draw(st.lists(span.map(lambda s: ConceptSpan(*s)), min_size=1, max_size=6))
+    return tokens, concepts
+
+
+def reference_form(annotation) -> dict:
+    """An annotation in the form :func:`reference_annotate` returns."""
     got = {}
     for dimension in Dimension:
         value = annotation.value(dimension)
         if dimension in annotation.evidence:
             cue = annotation.evidence[dimension]
             got[dimension.value] = (value.value, (cue.start, cue.end))
-    assert got == expected
+    return got
+
+
+@settings(max_examples=300, deadline=None)
+@given(rule_sets(), sentence_and_concept())
+def test_engine_agrees_with_reference_oracle(ruleset, sc):
+    tokens, concept = sc
+    annotation = annotate(tokens, concept, ruleset)
+    assert reference_form(annotation) == reference_annotate(ruleset, tokens, concept.start, concept.end)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rule_sets(), sentence_and_concepts())
+def test_sentence_agrees_with_reference_oracle_for_every_concept(ruleset, sc):
+    tokens, concepts = sc
+    results = annotate_sentence(tokens, concepts, ruleset, build_trie(ruleset))
+    assert len(results) == len(concepts)
+    for annotation, concept in zip(results, concepts):
+        assert reference_form(annotation) == \
+            reference_annotate(ruleset, tokens, concept.start, concept.end)
 
 
 @settings(max_examples=200, deadline=None)
@@ -370,3 +398,111 @@ def test_batch_large_synthetic_equals_map():
         end = rng.randint(start + 1, len(tokens))
         records.append((tokens, ConceptSpan(start, end)))
     assert annotate_batch(records, rs, trie) == [annotate(t, c, rs, trie) for t, c in records]
+
+
+def outcomes(results):
+    """Results with each InvalidSpan replaced by its index and message,
+    since exceptions compare by identity."""
+    return [
+        ("invalid", r.index, str(r)) if isinstance(r, InvalidSpan) else r for r in results
+    ]
+
+
+def per_record(records, ruleset, trie):
+    """What annotate_batch must return: annotate on each record alone."""
+    out = []
+    for index, (tokens, concept) in enumerate(records):
+        try:
+            out.append(annotate(tokens, concept, ruleset, trie))
+        except InvalidSpan as err:
+            out.append(InvalidSpan(str(err), index=index))
+    return outcomes(out)
+
+
+def count_matcher_calls(monkeypatch) -> list:
+    calls = []
+
+    def counted(trie, tokens):
+        calls.append(list(tokens))
+        return find_matches_trie(trie, tokens)
+
+    monkeypatch.setattr(engine, "find_matches_trie", counted)
+    return calls
+
+
+def test_batch_matches_each_run_once_and_equals_per_record(monkeypatch):
+    rs = RuleSet.from_rules([
+        trigger("no"),
+        trigger("suspected", Direction.BACKWARD, RuleValue.POSSIBLE, 4),
+        rule("but", Direction.FORWARD, CueType.TERMINATION, RuleValue.NEGATED, 0),
+    ])
+    trie = build_trie(rs)
+    a = ["no", "mi", "but", "cva", "suspected"]
+    records = [
+        (a, ConceptSpan(7, 8)),  # invalid span first in a run
+        (list(a), ConceptSpan(1, 2)),
+        (list(a), ConceptSpan(4, 4)),  # invalid span in the middle of a run
+        (list(a), ConceptSpan(3, 4)),
+        (["father", "mi"], ConceptSpan(1, 2)),  # a run of length 1
+        (list(a), ConceptSpan(0, 1)),  # equal to a sentence that is not adjacent
+    ]
+    expected = per_record(records, rs, trie)
+    calls = count_matcher_calls(monkeypatch)
+    assert outcomes(annotate_batch(records, rs, trie)) == expected
+    assert calls == [a, ["father", "mi"], a]
+    assert outcomes(annotate_batch(records, rs)) == expected
+    assert [r.negation for r in annotate_sentence(a, [ConceptSpan(1, 2), ConceptSpan(3, 4)], rs)] == \
+        [NegationStatus.NEGATED, NegationStatus.POSSIBLE]
+
+
+def test_sentence_with_only_invalid_spans_is_not_matched(monkeypatch):
+    rs = RuleSet.from_rules([trigger("no")])
+    calls = count_matcher_calls(monkeypatch)
+    results = annotate_sentence(["no", "mi"], [ConceptSpan(2, 3), ConceptSpan(1, 1)], rs, build_trie(rs))
+    assert calls == []
+    assert [str(r) for r in results] == [
+        "concept [2, 3) outside token range of length 2",
+        "concept [1, 1) outside token range of length 2",
+    ]
+    assert annotate_sentence(["no", "mi"], [], rs) == []
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_batch_of_repeated_sentences_equals_per_record(seed):
+    rng = random.Random(seed)
+    rs = generate_rules(seed, 60)
+    trie = build_trie(rs)
+    words = [w for r in rs for w in r.phrase if w != WILDCARD] + ["w1", "w2", "w3"]
+    sentences, records = [], []
+    for _ in range(300):
+        if sentences and rng.random() < 0.2:
+            tokens = rng.choice(sentences)  # an earlier sentence again
+        else:
+            tokens = [rng.choice(words) for _ in range(rng.randint(1, 20))]
+            sentences.append(tokens)
+        for _ in range(rng.randint(1, 6)):
+            start = rng.randint(-1, len(tokens))
+            end = rng.randint(start, len(tokens) + 1)  # out of range now and then
+            records.append((list(tokens), ConceptSpan(start, end)))
+    assert sum(isinstance(r, InvalidSpan) for r in annotate_batch(records, rs)) > 0
+    expected = per_record(records, rs, trie)
+    assert outcomes(annotate_batch(records, rs, trie)) == expected
+    assert outcomes(annotate_batch(records, rs, None)) == expected
+
+
+def test_trie_of_another_rule_set_is_rejected(starter_rules):
+    foreign = build_trie(generate_rules(7, 849))
+    tokens, concept = ["no", "evidence", "of", "mi"], ConceptSpan(3, 4)
+    for call in (
+        lambda: annotate(tokens, concept, starter_rules, foreign),
+        lambda: annotate_sentence(tokens, [concept], starter_rules, foreign),
+        lambda: annotate_batch([(tokens, concept)], starter_rules, foreign),
+        lambda: annotate_batch([], starter_rules, foreign),
+    ):
+        with pytest.raises(ValueError, match="different rule set"):
+            call()
+    # an equal rule set built separately indexes the same rules
+    copy = RuleSet.from_rules(starter_rules.rules)
+    assert copy is not starter_rules
+    assert annotate(tokens, concept, copy, build_trie(starter_rules)) == \
+        annotate(tokens, concept, starter_rules)
