@@ -8,17 +8,31 @@ Data goes to stdout, diagnostics to stderr.  Exit codes: 0 ok,
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
+import os
 import sys
-from typing import IO
+from collections import deque
+from json.encoder import encode_basestring
+from typing import IO, Iterator
 
-from . import bench as bench_mod
 from . import corpus as corpus_mod
 # ``annotate`` is not called here, but perfbench/tracing.py wraps it as
 # ``cli.annotate``, so the name stays.
 from .engine import ContextAnnotation, InvalidSpan, annotate, annotate_batch, annotate_records  # noqa: F401
 from .evaluate import LengthMismatch, score
-from .matcher import build_trie
-from .rules import DuplicateRule, MalformedRule, load_rules, serialize_rules
+from .matcher import RuleTrie, build_trie
+from .rules import (
+    Dimension,
+    DuplicateRule,
+    ExperiencerStatus,
+    MalformedRule,
+    NegationStatus,
+    RuleSet,
+    TemporalityStatus,
+    load_rules,
+    serialize_rules,
+)
 
 EXIT_OK = 0
 EXIT_ASSERTION = 1
@@ -62,6 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus-seed", type=int, default=97)
     p.add_argument("--corpus-size", type=int, default=1000)
     p.add_argument("--format", choices=("csv", "table"), default="csv")
+    p.add_argument("--output", default="-", help="report path or '-' for stdout")
     p.add_argument("--check", action="store_true",
                    help="exit 1 unless the scaling-shape assertions hold")
 
@@ -86,54 +101,103 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _open_out(path: str) -> IO[str]:
-    return sys.stdout if path == "-" else open(path, "w", encoding="utf-8")
-
-
-def _read_records(path: str) -> list[corpus_mod.CorpusRecord]:
+def _open_out(path: str) -> contextlib.AbstractContextManager[IO[str]]:
+    """``path`` ('-': stdout) for writing; leaving the block closes a file only."""
     if path == "-":
-        return corpus_mod.read_corpus(sys.stdin)
-    return corpus_mod.read_corpus(path)
+        return contextlib.nullcontext(sys.stdout)
+    return open(path, "w", encoding="utf-8")
 
 
-def _prediction_dict(annotation: ContextAnnotation) -> dict:
-    evidence = {
-        dimension.value: [cue.start, cue.end]
-        for dimension, cue in annotation.evidence.items()
-    }
-    return {
-        "negation": annotation.negation.value,
-        "experiencer": annotation.experiencer.value,
-        "temporality": annotation.temporality.value,
-        "evidence": evidence,
-    }
+def _open_in(path: str) -> contextlib.AbstractContextManager[IO[str]]:
+    """The corpus at ``path`` ('-': stdin), opened for ``iter_corpus``."""
+    if path != "-":
+        return corpus_mod.open_corpus(path)
+    try:
+        fd = sys.stdin.fileno()
+    except (AttributeError, io.UnsupportedOperation):  # stdin is an in-memory stream
+        return contextlib.nullcontext(sys.stdin)
+    return corpus_mod.open_corpus(fd)
 
 
-def _pairs(records: list[corpus_mod.CorpusRecord]):
-    return ((record.tokens, record.concept) for record in records)
+#: The parts of an output line that depend only on an annotation's values.
+_NEGATION = {v: f',"pred":{{"negation":"{v.value}"' for v in NegationStatus}
+_EXPERIENCER = {v: f',"experiencer":"{v.value}"' for v in ExperiencerStatus}
+_TEMPORALITY = {v: f',"temporality":"{v.value}","evidence":{{' for v in TemporalityStatus}
+_EVIDENCE = {d: f'"{d.value}":[' for d in Dimension}
+#: ``pred`` of an annotation with no evidence, which holds every default.
+_NO_EVIDENCE = (
+    _NEGATION[NegationStatus.AFFIRMED] + _EXPERIENCER[ExperiencerStatus.PATIENT]
+    + _TEMPORALITY[TemporalityStatus.RECENT] + "}}}\n"
+)
+
+
+def _output_line(record: corpus_mod.CorpusRecord, result: ContextAnnotation | InvalidSpan) -> str:
+    """``record`` with its ``pred`` (or ``error``) as one JSON line, exactly
+    as ``dumps_record`` writes ``record.to_dict()`` with that key added."""
+    concept = record.concept
+    head = (
+        f'{{"tokens":[{",".join(map(encode_basestring, record.tokens))}],'
+        f'"concept":[{concept.start},{concept.end}]'
+    )
+    if record.gold is not None:
+        head += ',"gold":' + corpus_mod.dumps_record(record.gold)
+    if type(result) is InvalidSpan:
+        return f'{head},"error":{encode_basestring(str(result))}}}\n'
+    evidence = result.evidence
+    if not evidence:
+        return head + _NO_EVIDENCE
+    cues = ",".join(f"{_EVIDENCE[d]}{cue.start},{cue.end}]" for d, cue in evidence.items())
+    return (
+        f"{head}{_NEGATION[result.negation]}{_EXPERIENCER[result.experiencer]}"
+        f"{_TEMPORALITY[result.temporality]}{cues}}}}}}}\n"
+    )
+
+
+def _annotate_stream(
+    records: Iterator[corpus_mod.CorpusRecord], ruleset: RuleSet, trie: RuleTrie | None
+) -> Iterator[tuple[corpus_mod.CorpusRecord, ContextAnnotation | InvalidSpan]]:
+    """Yield ``(record, result)`` for each record, in order, holding only
+    the run of equal-token records ``annotate_records`` has not finished.
+
+    A :class:`CorpusError` from ``records`` is raised once the results of
+    every record before it have been yielded.
+    """
+    pending: deque[corpus_mod.CorpusRecord] = deque()
+    failure: list[corpus_mod.CorpusError] = []
+
+    def pairs():
+        try:
+            for record in records:
+                pending.append(record)
+                yield record.tokens, record.concept
+        except corpus_mod.CorpusError as err:
+            failure.append(err)
+
+    for result in annotate_records(pairs(), ruleset, trie):
+        yield pending.popleft(), result
+    if failure:
+        raise failure[0]
 
 
 def cmd_annotate(args: argparse.Namespace) -> int:
     ruleset = load_rules(args.rules)
     trie = build_trie(ruleset) if args.engine == "trie" else None
-    records = _read_records(args.input)
-    results = annotate_records(_pairs(records), ruleset, trie)
-    out = _open_out(args.output)
     errors = 0
-    try:
-        for index, (record, result) in enumerate(zip(records, results)):
-            obj = record.to_dict()
-            if isinstance(result, InvalidSpan):
-                errors += 1
-                obj["error"] = str(result)
-                print(f"record {index}: {result}", file=sys.stderr)
-            else:
-                obj["pred"] = _prediction_dict(result)
-            out.write(corpus_mod.dumps_record(obj))
-            out.write("\n")
-    finally:
-        if out is not sys.stdout:
-            out.close()
+    # the input is opened first, so that a missing input leaves the output
+    # untouched, and checked against the output, which opening truncates
+    with _open_in(args.input) as source:
+        if "-" not in (args.input, args.output) and os.path.exists(args.output) \
+                and os.path.samefile(args.input, args.output):
+            raise corpus_mod.CorpusError(f"--input and --output are the same file: {args.output}")
+        with _open_out(args.output) as out:
+            write = out.write
+            for index, (record, result) in enumerate(
+                _annotate_stream(corpus_mod.iter_corpus(source), ruleset, trie)
+            ):
+                if type(result) is InvalidSpan:
+                    errors += 1
+                    print(f"record {index}: {result}", file=sys.stderr)
+                write(_output_line(record, result))
     if errors and args.strict:
         print(f"{errors} record(s) failed under --strict", file=sys.stderr)
         return EXIT_ASSERTION
@@ -143,8 +207,10 @@ def cmd_annotate(args: argparse.Namespace) -> int:
 def cmd_evaluate(args: argparse.Namespace) -> int:
     ruleset = load_rules(args.rules)
     trie = build_trie(ruleset) if args.engine == "trie" else None
-    records = _read_records(args.gold)
-    predictions = annotate_batch(_pairs(records), ruleset, trie)
+    with _open_in(args.gold) as source:
+        records = corpus_mod.read_corpus(source)
+    pairs = ((record.tokens, record.concept) for record in records)
+    predictions = annotate_batch(pairs, ruleset, trie)
     for prediction in predictions:
         if isinstance(prediction, InvalidSpan):
             raise corpus_mod.CorpusError(str(prediction))
@@ -154,6 +220,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
+    from . import bench as bench_mod  # only here, so other commands start faster
+
     engines = tuple(name.strip() for name in args.engines.split(",") if name.strip())
     config = bench_mod.BenchConfig(
         base_rule_count=args.base,
@@ -168,7 +236,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
         corpus=corpus_mod.GeneratorConfig(seed=args.corpus_seed, sentence_count=args.corpus_size),
     )
     report = bench_mod.run_ramp(config)
-    sys.stdout.write(bench_mod.emit_report(report, args.format))
+    with _open_out(args.output) as out:
+        out.write(bench_mod.emit_report(report, args.format))
     print(f"environment: {report.environment}", file=sys.stderr)
     if args.check:
         failures = bench_mod.check_report(report)
@@ -187,8 +256,7 @@ def cmd_rules_validate(args: argparse.Namespace) -> int:
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
-    out = _open_out(args.output)
-    try:
+    with _open_out(args.output) as out:
         if args.kind == "rules":
             ruleset = corpus_mod.generate_rules(args.seed, args.count)
             out.write(serialize_rules(ruleset))
@@ -206,9 +274,6 @@ def cmd_generate(args: argparse.Namespace) -> int:
                 cue_injection_rate=args.rate,
             )
             corpus_mod.write_corpus(corpus_mod.generate_corpus(config, ruleset), out)
-    finally:
-        if out is not sys.stdout:
-            out.close()
     return EXIT_OK
 
 

@@ -20,7 +20,8 @@ import os
 import random
 import string
 from dataclasses import dataclass
-from typing import IO, Iterable, Sequence
+from itertools import repeat
+from typing import IO, Iterable, Iterator, Sequence
 
 from . import engine
 from .engine import ConceptSpan
@@ -96,75 +97,103 @@ class CorpusRecord:
         return obj
 
 
-def _record_from_obj(obj: object, line_no: int) -> CorpusRecord:
-    if not isinstance(obj, dict):
+def _record_from_obj(obj: object, line_no: int, line: str) -> CorpusRecord:
+    if type(obj) is not dict:
         raise CorpusError(f"line {line_no}: expected a JSON object")
     tokens = obj.get("tokens")
-    if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
+    if type(tokens) is not list or not all(map(isinstance, tokens, repeat(str))):
         raise CorpusError(f"line {line_no}: 'tokens' must be a list of strings")
+    if "\\u" in line:
+        # only a \u escape can put a lone surrogate into a token, which
+        # no UTF-8 output could then hold
+        try:
+            "".join(tokens).encode("utf-8")
+        except UnicodeEncodeError:
+            raise CorpusError(f"line {line_no}: 'tokens' hold a lone surrogate") from None
     concept = obj.get("concept")
-    if (
-        not isinstance(concept, list)
-        or len(concept) != 2
-        or not all(isinstance(x, int) and not isinstance(x, bool) for x in concept)
+    # JSON gives exact ints and bools, so ``type(x) is int`` excludes bools
+    if type(concept) is not list or len(concept) != 2 or not (
+        type(concept[0]) is int and type(concept[1]) is int
     ):
         raise CorpusError(f"line {line_no}: 'concept' must be [start, end]")
     gold = obj.get("gold")
     if gold is not None:
-        if not isinstance(gold, dict):
+        if type(gold) is not dict:
             raise CorpusError(f"line {line_no}: 'gold' must be an object")
         for dim, value in gold.items():
             allowed = engine.DIMENSION_VALUES.get(dim)
             if allowed is None:
                 raise CorpusError(f"line {line_no}: unknown gold dimension {dim!r}")
-            if value not in allowed:
+            if type(value) is not str or value not in allowed:
                 raise CorpusError(f"line {line_no}: bad gold value {value!r} for {dim}")
-        gold = dict(gold)
-    return CorpusRecord(tokens=list(tokens), concept=ConceptSpan(concept[0], concept[1]), gold=gold)
+    return CorpusRecord(tokens, ConceptSpan(concept[0], concept[1]), gold)
 
 
-def read_corpus(source: str | os.PathLike | IO | Iterable[str]) -> list[CorpusRecord]:
-    """Read a JSON-lines corpus from a path, stream, or iterable of lines.
+def iter_corpus(source: str | os.PathLike | IO | Iterable[str | bytes]) -> Iterator[CorpusRecord]:
+    """Yield the records of a JSON-lines corpus one at a time, from a path,
+    a stream, or an iterable of lines (``str`` or UTF-8 ``bytes``).
 
     Structure is validated here; span validity against the sentence is
     the engine's per-record concern, so files with out-of-range concepts
-    still load.
+    still load.  A malformed line, including one that is not UTF-8,
+    raises :class:`CorpusError` naming its line number once every record
+    before it has been yielded.
     """
     if isinstance(source, (str, os.PathLike)):
-        with open(source, "r", encoding="utf-8") as fh:
-            return _read_lines(fh)
-    return _read_lines(source)
+        with open_corpus(source) as fh:
+            yield from _iter_lines(fh)
+    else:
+        yield from _iter_lines(source)
 
 
-def _read_lines(lines: Iterable[str]) -> list[CorpusRecord]:
-    records = []
-    for line_no, raw in enumerate(lines, start=1):
-        if isinstance(raw, bytes):
-            raw = raw.decode("utf-8")
-        line = raw.strip()
+def open_corpus(path: str | os.PathLike | int) -> IO[str]:
+    """Open a corpus file, or a file descriptor (left open on close), as
+    UTF-8 text for :func:`iter_corpus`.  Undecodable bytes are read as lone
+    surrogates, so that the reader can name the line they are on."""
+    return open(path, encoding="utf-8", errors="surrogateescape", closefd=not isinstance(path, int))
+
+
+def _iter_lines(lines: Iterable[str | bytes]) -> Iterator[CorpusRecord]:
+    loads = json.loads
+    for line_no, line in enumerate(lines, start=1):
+        if type(line) is bytes:
+            line = line.decode("utf-8", "surrogateescape")
+        if not line.isascii():
+            try:
+                line.encode("utf-8")
+            except UnicodeEncodeError:
+                raise CorpusError(f"line {line_no}: not valid UTF-8 text") from None
+        line = line.strip()
         if not line:
             continue
         try:
-            obj = json.loads(line)
+            obj = loads(line)
         except json.JSONDecodeError as err:
             raise CorpusError(f"line {line_no}: invalid JSON ({err.msg})") from None
-        records.append(_record_from_obj(obj, line_no))
-    return records
+        except (ValueError, RecursionError) as err:
+            # an integer past the conversion digit limit, or nesting too deep
+            raise CorpusError(f"line {line_no}: invalid JSON ({err})") from None
+        yield _record_from_obj(obj, line_no, line)
+
+
+def read_corpus(source: str | os.PathLike | IO | Iterable[str | bytes]) -> list[CorpusRecord]:
+    """:func:`iter_corpus` as a list."""
+    return list(iter_corpus(source))
+
+
+_encode = json.JSONEncoder(ensure_ascii=False, separators=(",", ":")).encode
 
 
 def dumps_record(obj: dict) -> str:
     """Serialize one record dict the way corpus files are written."""
-    return json.dumps(obj, ensure_ascii=False, separators=(",", ":"))
+    return _encode(obj)
 
 
 def write_corpus(records: Iterable[CorpusRecord], stream: IO[str]) -> None:
+    """Write records as JSON lines, the form :func:`iter_corpus` reads."""
     for record in records:
         stream.write(dumps_record(record.to_dict()))
         stream.write("\n")
-
-
-def corpus_to_jsonl(records: Iterable[CorpusRecord]) -> str:
-    return "".join(dumps_record(r.to_dict()) + "\n" for r in records)
 
 
 @dataclass(frozen=True)

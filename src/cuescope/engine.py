@@ -29,7 +29,9 @@ all its concepts from the same scopes; :func:`annotate` is its
 one-concept case, and :func:`annotate_records` hands each run of
 consecutive records with equal tokens to one such call.  Scope resolution
 reads each rule through ``RuleSet.table``, built once per rule set.  All
-functions here are pure; tokens must be lowercased by the caller.
+functions here are pure.  :func:`annotate_sentence` lowercases the tokens
+it matches, so every entry point is case-insensitive; :func:`resolve_scopes`
+reads only token counts.
 """
 
 from __future__ import annotations
@@ -223,14 +225,18 @@ def annotate_sentence(
     annotation, or an :class:`InvalidSpan` (not raised) when the concept
     lies outside the token range.  Matching runs through ``trie`` when
     given, else through the naive reference matcher; the result is
-    identical either way.  Raises ``ValueError`` when ``trie`` was built
-    from a different rule set.
+    identical either way.  Tokens match case-insensitively: they are
+    lowercased for matching, as rule phrases are on load.  Raises
+    ``ValueError`` when ``trie`` was built from a different rule set.
     """
     _check_trie(trie, ruleset)
     n = len(tokens)
     valid = [0 <= c.start < c.end <= n for c in concepts]
     scopes: list[Scope] = []
     if any(valid):
+        joined = "".join(tokens)
+        if joined != joined.lower():  # a new list only when case must fold
+            tokens = [token.lower() for token in tokens]
         if trie is not None:
             matches = find_matches_trie(trie, tokens)
         else:

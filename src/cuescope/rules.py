@@ -252,6 +252,10 @@ def parse_rule_line(line: str, rule_id: int = 0, line_no: int | None = None) -> 
         raise MalformedRule(
             f"phrase {cols[0]!r} has empty tokens (double space?)", line_no=line_no, column=1
         )
+    if any(tok.split() != [tok] for tok in phrase):
+        raise MalformedRule(
+            f"phrase {cols[0]!r} has whitespace other than single spaces", line_no=line_no, column=1
+        )
     direction = _DIRECTIONS.get(cols[1].strip().lower())
     if direction is None:
         raise MalformedRule(f"unknown direction {cols[1]!r}", line_no=line_no, column=2)
@@ -279,18 +283,24 @@ def load_rules(source: str | os.PathLike | IO) -> RuleSet:
     """Load a rule file from a path or an open text/binary stream.
 
     File order is preserved and ids are assigned ordinally.  The first
-    malformed line aborts the load; duplicate rules are rejected.
+    malformed line aborts the load, and so does a file that is not UTF-8;
+    duplicate rules are rejected.
     """
-    if isinstance(source, (str, os.PathLike)):
-        with open(source, "r", encoding="utf-8") as fh:
-            return _load_lines(fh)
     if isinstance(source, io.TextIOBase):
         return _load_lines(source)
-    # binary stream
-    text = source.read()
+    if isinstance(source, (str, os.PathLike)):
+        with open(source, "rb") as fh:
+            text = fh.read()
+    else:
+        text = source.read()
     if isinstance(text, bytes):
-        text = text.decode("utf-8")
-    return _load_lines(io.StringIO(text))
+        try:
+            text = text.decode("utf-8")
+        except UnicodeDecodeError as err:
+            line_no = text.count(b"\n", 0, err.start) + 1
+            raise MalformedRule(f"not UTF-8 text ({err.reason})", line_no=line_no) from None
+    # newline=None reads CR, LF and CRLF line ends, as text-mode open does
+    return _load_lines(io.StringIO(text, newline=None))
 
 
 def _load_lines(lines: Iterable[str]) -> RuleSet:

@@ -13,10 +13,10 @@ import pytest
 from cuescope.bench import BenchConfig, emit_report, run_accuracy_ramp, run_ramp, spearman
 from cuescope.corpus import (
     GeneratorConfig,
-    corpus_to_jsonl,
     generate_corpus,
     generate_rules,
     read_corpus,
+    write_corpus,
 )
 from cuescope.engine import (
     ConceptSpan,
@@ -311,12 +311,17 @@ def test_c7_format_round_trips(hand_gold_path):
         and lines[1] == PAPER_LINES[1]
         and lines[2] == PAPER_LINES[2].replace("both", "bidirectional")
     )
+    def jsonl(records):
+        out = io.StringIO()
+        write_corpus(records, out)
+        return out.getvalue()
+
     hand_text = hand_gold_path.read_text(encoding="utf-8")
-    corpus_ok = corpus_to_jsonl(read_corpus(io.StringIO(hand_text))) == hand_text
+    corpus_ok = jsonl(read_corpus(io.StringIO(hand_text))) == hand_text
     generated = generate_corpus(
         GeneratorConfig(seed=8, sentence_count=40), generate_rules(8, 60)
     )
-    corpus_ok = corpus_ok and read_corpus(io.StringIO(corpus_to_jsonl(generated))) == generated
+    corpus_ok = corpus_ok and read_corpus(io.StringIO(jsonl(generated))) == generated
     _criterion(
         "C7 format-round-trips", fields_ok and serialization_ok and corpus_ok,
         "rule lines bit-exact modulo both->bidirectional; corpus JSONL fixed point",

@@ -1,11 +1,15 @@
+import contextlib
+import io
 import json
 import random
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from cuescope import cli
 from cuescope.cli import main
 from cuescope.corpus import CorpusRecord, dumps_record, read_corpus, write_corpus
 from cuescope.engine import ConceptSpan, InvalidSpan, annotate
@@ -141,10 +145,27 @@ def test_annotate_output_file_deterministic(tmp_path, starter_rules_path, hand_g
     assert out1.read_bytes() == out2.read_bytes()
 
 
+def reference_line(record, result) -> str:
+    """A record and its result as the per-record loop writes them: the
+    record's dict plus a ``pred`` dict or an ``error``, via dumps_record."""
+    obj = record.to_dict()
+    if isinstance(result, InvalidSpan):
+        obj["error"] = str(result)
+    else:
+        obj["pred"] = {
+            "negation": result.negation.value,
+            "experiencer": result.experiencer.value,
+            "temporality": result.temporality.value,
+            "evidence": {dim.value: [cue.start, cue.end] for dim, cue in result.evidence.items()},
+        }
+    return dumps_record(obj) + "\n"
+
+
 def test_annotate_repeated_sentences_as_per_record_annotate(tmp_path, starter_rules_path,
                                                             starter_rules, hand_gold, capsys):
     # each hand-gold sentence as a run of 1-4 records, some spans invalid,
-    # then a few sentences again after other sentences
+    # then a few sentences again after other sentences; some gold, some
+    # non-ASCII tokens
     rng = random.Random(3)
     records = []
     for record in hand_gold:
@@ -154,6 +175,12 @@ def test_annotate_repeated_sentences_as_per_record_annotate(tmp_path, starter_ru
             records.append(CorpusRecord(record.tokens, ConceptSpan(start, rng.randint(start + 1, n + 1)),
                                         record.gold))
     records += records[:6]
+    records += [
+        CorpusRecord(["no", "fièvre", "\u00e9t\u00e9", "\"q\"", "\\", "\u2028"], ConceptSpan(1, 2)),
+        CorpusRecord(["denies", "😀", "pain"], ConceptSpan(2, 3), {"negation": "negated"}),
+        # evidence in the order its cues occur, not in dimension order
+        CorpusRecord(["Father", "had", "history", "of", "no", "MI"], ConceptSpan(5, 6)),
+    ]
     corpus, output = tmp_path / "runs.jsonl", tmp_path / "out.jsonl"
     with open(corpus, "w", encoding="utf-8") as fh:
         write_corpus(records, fh)
@@ -161,18 +188,123 @@ def test_annotate_repeated_sentences_as_per_record_annotate(tmp_path, starter_ru
                    "--input", str(corpus), "--output", str(output)) == 0
 
     trie = build_trie(starter_rules)
-    expected, errors = [], []
+    expected, errors, dimensions = [], [], set()
     for index, record in enumerate(read_corpus(corpus)):
-        obj = record.to_dict()
         try:
-            obj["pred"] = cli._prediction_dict(annotate(record.tokens, record.concept, starter_rules, trie))
+            result = annotate(record.tokens, record.concept, starter_rules, trie)
+            dimensions.update(result.evidence)
         except InvalidSpan as err:
-            obj["error"] = str(err)
+            result = err
             errors.append(f"record {index}: {err}")
-        expected.append(dumps_record(obj) + "\n")
-    assert errors
+        expected.append(reference_line(record, result))
+    assert errors and len(dimensions) == 3
     assert output.read_text(encoding="utf-8") == "".join(expected)
     assert capsys.readouterr().err.splitlines() == errors
+
+
+def test_annotate_is_case_insensitive_and_echoes_tokens(tmp_path, starter_rules_path, capsys):
+    corpus = write_corpus_file(tmp_path, [
+        {"tokens": ["No", "EVIDENCE", "of", "Recurrence"], "concept": [3, 4]},
+    ])
+    assert run_cli("annotate", "--rules", str(starter_rules_path), "--input", str(corpus)) == 0
+    record = json.loads(out_lines(capsys)[0])
+    assert record["tokens"] == ["No", "EVIDENCE", "of", "Recurrence"]
+    assert record["pred"]["negation"] == "negated"
+
+
+GOOD_LINES = [
+    '{"tokens": ["we", "can", "rule", "out", "mi"], "concept": [4, 5]}',
+    # a run of two records on one sentence, still pending at the bad line
+    '{"tokens": ["no", "mi"], "concept": [1, 2]}',
+    '{"tokens": ["no", "mi"], "concept": [0, 1]}',
+]
+
+
+@pytest.mark.parametrize("bad,fragment", [
+    (b"{not json", "invalid JSON"),
+    (b'{"tokens": "x", "concept": [0, 1]}', "'tokens'"),
+    (b'{"tokens": ["caf\xe9"], "concept": [0, 1]}', "not valid UTF-8"),
+])
+def test_annotate_malformed_line_keeps_earlier_output(tmp_path, paper_rules, bad, fragment, capsys):
+    corpus, output = tmp_path / "corpus.jsonl", tmp_path / "out.jsonl"
+    good = "".join(line + "\n" for line in GOOD_LINES).encode("utf-8")
+    corpus.write_bytes(good + bad + b"\n" + GOOD_LINES[0].encode("utf-8") + b"\n")
+    assert run_cli("annotate", "--rules", str(paper_rules),
+                   "--input", str(corpus), "--output", str(output)) == 3
+    err = capsys.readouterr().err
+    assert "error: line 4: " in err and fragment in err
+    reference = tmp_path / "reference.jsonl"
+    corpus.write_bytes(good)
+    assert run_cli("annotate", "--rules", str(paper_rules),
+                   "--input", str(corpus), "--output", str(reference)) == 0
+    assert output.read_bytes() == reference.read_bytes()
+    assert len(output.read_text(encoding="utf-8").splitlines()) == 3
+
+
+def test_annotate_reads_stdin_bytes_and_names_a_non_utf8_line(paper_rules):
+    data = (GOOD_LINES[0] + "\n").encode("utf-8") + b'{"tokens": ["\xff"], "concept": [0, 1]}\n'
+    proc = subprocess.run(
+        [sys.executable, "-m", "cuescope.cli", "annotate", "--rules", str(paper_rules), "--input", "-"],
+        input=data, capture_output=True, timeout=120,
+    )
+    assert proc.returncode == 3
+    assert proc.stderr.decode("utf-8") == "error: line 2: not valid UTF-8 text\n"
+    assert json.loads(proc.stdout)["pred"]["negation"] == "negated"
+
+
+def test_annotate_missing_input_leaves_output_untouched(tmp_path, paper_rules, capsys):
+    output = tmp_path / "out.jsonl"
+    assert run_cli("annotate", "--rules", str(paper_rules),
+                   "--input", str(tmp_path / "missing.jsonl"), "--output", str(output)) == 3
+    assert not output.exists()
+    output.write_text("kept\n", encoding="utf-8")
+    assert run_cli("annotate", "--rules", str(paper_rules),
+                   "--input", str(tmp_path / "missing.jsonl"), "--output", str(output)) == 3
+    assert output.read_text(encoding="utf-8") == "kept\n"
+
+
+def test_annotate_same_input_and_output_is_refused(tmp_path, paper_rules, capsys):
+    corpus = write_corpus_file(tmp_path, [{"tokens": ["no", "mi"], "concept": [1, 2]}])
+    before = corpus.read_bytes()
+    alias = tmp_path / "." / corpus.name
+    assert run_cli("annotate", "--rules", str(paper_rules),
+                   "--input", str(corpus), "--output", str(alias)) == 3
+    assert "same file" in capsys.readouterr().err
+    assert corpus.read_bytes() == before
+
+
+def test_annotate_non_utf8_rules_exit_2(tmp_path, capsys):
+    rules = tmp_path / "rules.tsv"
+    rules.write_bytes(PAPER_RULES.encode("utf-8") + b"caf\xe9\tforward\ttrigger\tnegated\t5\n")
+    corpus = write_corpus_file(tmp_path, [])
+    assert run_cli("annotate", "--rules", str(rules), "--input", str(corpus)) == 2
+    assert "line 4: not UTF-8" in capsys.readouterr().err
+
+
+#: Pieces of corpus lines, valid and not, for the fuzzer to join.
+_FRAGMENTS = [
+    b'{"tokens":["no","mi"],"concept":[1,2]}\n', b"{", b"}", b"[", b"]", b",", b":",
+    b'"tokens"', b'"concept"', b'"gold"', b'"negation"', b'"negated"', b'"no"', b'"Mi"',
+    b'"\\ud800"', b'"\\u00e9"', b"0", b"1", b"-1", b"1e999", b"9" * 5000, b"true", b"null",
+    b"\n", b"\r", b" ", b"\xff", b"\xc3\xa9", b"\xed\xa0\x80",
+]
+
+
+@settings(max_examples=300, deadline=None)
+@example(b'{"tokens":["\\ud800"],"concept":[0,1]}\n')
+@given(st.one_of(
+    st.binary(max_size=200),
+    st.lists(st.sampled_from(_FRAGMENTS), max_size=30).map(b"".join),
+))
+def test_any_bytes_as_corpus_exit_0_or_3(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        rules, corpus = Path(tmp) / "rules.tsv", Path(tmp) / "corpus.jsonl"
+        rules.write_text(PAPER_RULES, encoding="utf-8")
+        corpus.write_bytes(data)
+        with contextlib.redirect_stderr(io.StringIO()):
+            code = run_cli("annotate", "--rules", str(rules), "--input", str(corpus),
+                           "--output", str(Path(tmp) / "out.jsonl"))
+    assert code in (0, 3)
 
 
 # --- evaluate ---

@@ -7,9 +7,9 @@ from cuescope.corpus import (
     CorpusError,
     CorpusRecord,
     GeneratorConfig,
-    corpus_to_jsonl,
     generate_corpus,
     generate_rules,
+    iter_corpus,
     read_corpus,
     tokenize,
     write_corpus,
@@ -44,6 +44,12 @@ def test_tokenize_never_produces_wildcard():
 
 # --- corpus file format ---
 
+def jsonl(records) -> str:
+    out = io.StringIO()
+    write_corpus(records, out)
+    return out.getvalue()
+
+
 def test_corpus_round_trip(tmp_path):
     records = [
         CorpusRecord(["no", "mi"], ConceptSpan(1, 2), {"negation": "negated"}),
@@ -54,8 +60,8 @@ def test_corpus_round_trip(tmp_path):
         write_corpus(records, fh)
     assert read_corpus(path) == records
     # fixed point on the serialized text as well
-    text = corpus_to_jsonl(records)
-    assert corpus_to_jsonl(read_corpus(io.StringIO(text))) == text
+    text = jsonl(records)
+    assert jsonl(read_corpus(io.StringIO(text))) == text
 
 
 @pytest.mark.parametrize(
@@ -68,12 +74,30 @@ def test_corpus_round_trip(tmp_path):
         ('{"tokens": ["a"], "concept": [0, true]}', "concept"),
         ('{"tokens": ["a"], "concept": [0, 1], "gold": {"negation": "nope"}}', "gold value"),
         ('{"tokens": ["a"], "concept": [0, 1], "gold": {"mood": "sad"}}', "dimension"),
+        ('{"tokens": ["a"], "concept": [0, 1], "gold": {"negation": ["x"]}}', "gold value"),
+        ('{"tokens": ["\\ud800"], "concept": [0, 1]}', "lone surrogate"),
+        pytest.param('{"tokens": ["a"], "concept": [0, 1%s]}' % ("0" * 5000), "invalid JSON",
+                     id="int-past-digit-limit"),
     ],
 )
 def test_read_corpus_rejects_bad_lines(line, fragment):
     with pytest.raises(CorpusError) as err:
         read_corpus(io.StringIO(line + "\n"))
     assert fragment in str(err.value)
+
+
+def test_read_corpus_rejects_non_utf8_with_its_line(tmp_path):
+    good = b'{"tokens": ["a"], "concept": [0, 1]}\n'
+    path = tmp_path / "corpus.jsonl"
+    # the bad byte sits past the first 8 KiB, where a decoding reader fails
+    # before it yields the lines it already holds
+    path.write_bytes(good * 400 + b'{"tokens": ["\xe9"], "concept": [0, 1]}\n')
+    records = []
+    with pytest.raises(CorpusError, match="line 401: not valid UTF-8"):
+        records.extend(iter_corpus(path))
+    assert len(records) == 400
+    with pytest.raises(CorpusError, match="line 2: not valid UTF-8"):
+        read_corpus([good, b"\xff\n"])
 
 
 def test_read_corpus_allows_out_of_range_concept():
@@ -128,10 +152,10 @@ def test_generate_rules_bad_count():
 def test_generator_deterministic_by_seed():
     ruleset = generate_rules(7, 50)
     config = GeneratorConfig(seed=1, sentence_count=50)
-    first = corpus_to_jsonl(generate_corpus(config, ruleset))
-    second = corpus_to_jsonl(generate_corpus(config, ruleset))
+    first = jsonl(generate_corpus(config, ruleset))
+    second = jsonl(generate_corpus(config, ruleset))
     assert first == second
-    other = corpus_to_jsonl(generate_corpus(GeneratorConfig(seed=2, sentence_count=50), ruleset))
+    other = jsonl(generate_corpus(GeneratorConfig(seed=2, sentence_count=50), ruleset))
     assert other != first
 
 

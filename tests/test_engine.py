@@ -283,6 +283,18 @@ def test_sentence_agrees_with_reference_oracle_for_every_concept(ruleset, sc):
 
 
 @settings(max_examples=200, deadline=None)
+@given(rule_sets(), sentence_and_concepts(), st.randoms(use_true_random=False))
+def test_annotation_ignores_token_case(ruleset, sc, rng):
+    tokens, concepts = sc
+    mixed = ["".join(c.upper() if rng.random() < 0.5 else c for c in token) for token in tokens]
+    given_tokens = list(mixed)
+    for trie in (build_trie(ruleset), None):
+        assert annotate_sentence(mixed, concepts, ruleset, trie) == \
+            annotate_sentence(tokens, concepts, ruleset, trie)
+    assert mixed == given_tokens
+
+
+@settings(max_examples=200, deadline=None)
 @given(rule_sets(), sentence_and_concept())
 def test_trie_and_naive_backends_agree(ruleset, sc):
     tokens, concept = sc

@@ -59,6 +59,7 @@ def test_parse_wrong_column_count():
         ("no\tforward\ttrigger\tnegated\tfive", 5),
         ("no\tforward\ttrigger\tnegated\t-1", 5),
         ("a  b\tforward\ttrigger\tnegated\t5", 1),
+        ("a\u00a0b\tforward\ttrigger\tnegated\t5", 1),
     ],
 )
 def test_parse_bad_columns(line, column):
@@ -114,6 +115,17 @@ def test_duplicate_differs_by_window_only_is_still_duplicate():
 def test_load_binary_stream():
     ruleset = load_rules(io.BytesIO(PAPER_LINES[0].encode("utf-8")))
     assert len(ruleset) == 1
+
+
+def test_load_rejects_non_utf8_with_its_line(tmp_path):
+    data = (PAPER_LINES[0] + "\n" + PAPER_LINES[1] + "\n").encode("utf-8")
+    data += b"caf\xe9\tforward\ttrigger\tnegated\t5\n"
+    path = tmp_path / "rules.tsv"
+    path.write_bytes(data)
+    for source in (path, io.BytesIO(data)):
+        with pytest.raises(MalformedRule) as err:
+            load_rules(source)
+        assert err.value.line_no == 3 and "not UTF-8" in str(err.value)
 
 
 def test_serialize_paper_lines_bit_exact_modulo_both():
