@@ -11,6 +11,7 @@ import argparse
 import contextlib
 import io
 import os
+import stat
 import sys
 from collections import deque
 from json.encoder import encode_basestring
@@ -119,6 +120,18 @@ def _open_in(path: str) -> contextlib.AbstractContextManager[IO[str]]:
     return corpus_mod.open_corpus(fd)
 
 
+def _writes_to_input(source: IO[str], output: str) -> bool:
+    """Whether ``output`` ('-': stdout) is the regular file ``source`` reads.
+    Opening it would empty the input; appending to it would feed the
+    output back to the reader."""
+    try:
+        read = os.fstat(source.fileno())
+        written = os.fstat(sys.stdout.fileno()) if output == "-" else os.stat(output)
+    except (AttributeError, OSError):  # an in-memory stream, or no output file yet
+        return False
+    return stat.S_ISREG(read.st_mode) and os.path.samestat(read, written)
+
+
 #: The parts of an output line that depend only on an annotation's values.
 _NEGATION = {v: f',"pred":{{"negation":"{v.value}"' for v in NegationStatus}
 _EXPERIENCER = {v: f',"experiencer":"{v.value}"' for v in ExperiencerStatus}
@@ -132,15 +145,9 @@ _NO_EVIDENCE = (
 
 
 def _output_line(record: corpus_mod.CorpusRecord, result: ContextAnnotation | InvalidSpan) -> str:
-    """``record`` with its ``pred`` (or ``error``) as one JSON line, exactly
-    as ``dumps_record`` writes ``record.to_dict()`` with that key added."""
-    concept = record.concept
-    head = (
-        f'{{"tokens":[{",".join(map(encode_basestring, record.tokens))}],'
-        f'"concept":[{concept.start},{concept.end}]'
-    )
-    if record.gold is not None:
-        head += ',"gold":' + corpus_mod.dumps_record(record.gold)
+    """``record`` as ``write_corpus`` writes it, with its ``pred`` (or
+    ``error``) added as the last key."""
+    head = corpus_mod.record_head(record)
     if type(result) is InvalidSpan:
         return f'{head},"error":{encode_basestring(str(result))}}}\n'
     evidence = result.evidence
@@ -186,9 +193,10 @@ def cmd_annotate(args: argparse.Namespace) -> int:
     # the input is opened first, so that a missing input leaves the output
     # untouched, and checked against the output, which opening truncates
     with _open_in(args.input) as source:
-        if "-" not in (args.input, args.output) and os.path.exists(args.output) \
-                and os.path.samefile(args.input, args.output):
-            raise corpus_mod.CorpusError(f"--input and --output are the same file: {args.output}")
+        if _writes_to_input(source, args.output):
+            raise corpus_mod.CorpusError(
+                f"--input and --output are the same file: {args.input} and {args.output}"
+            )
         with _open_out(args.output) as out:
             write = out.write
             for index, (record, result) in enumerate(

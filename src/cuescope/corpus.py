@@ -21,6 +21,7 @@ import random
 import string
 from dataclasses import dataclass
 from itertools import repeat
+from json.encoder import encode_basestring
 from typing import IO, Iterable, Iterator, Sequence
 
 from . import engine
@@ -89,12 +90,6 @@ class CorpusRecord:
     tokens: list[str]
     concept: ConceptSpan
     gold: dict[str, str] | None = None
-
-    def to_dict(self) -> dict:
-        obj: dict = {"tokens": list(self.tokens), "concept": [self.concept.start, self.concept.end]}
-        if self.gold is not None:
-            obj["gold"] = dict(self.gold)
-        return obj
 
 
 def _record_from_obj(obj: object, line_no: int, line: str) -> CorpusRecord:
@@ -185,15 +180,31 @@ _encode = json.JSONEncoder(ensure_ascii=False, separators=(",", ":")).encode
 
 
 def dumps_record(obj: dict) -> str:
-    """Serialize one record dict the way corpus files are written."""
+    """Serialize a dict the way corpus files write their values; the
+    strings in it are written as :func:`json.encoder.encode_basestring`
+    writes them."""
     return _encode(obj)
+
+
+def record_head(record: CorpusRecord) -> str:
+    """``record``'s JSON line up to its closing brace, so that a writer can
+    add keys: ``{"tokens":[...],"concept":[start,end]``, then ``,"gold":{...}``
+    if the record has gold labels."""
+    concept = record.concept
+    head = (
+        f'{{"tokens":[{",".join(map(encode_basestring, record.tokens))}],'
+        f'"concept":[{concept.start},{concept.end}]'
+    )
+    if record.gold is not None:
+        head += ',"gold":' + dumps_record(record.gold)
+    return head
 
 
 def write_corpus(records: Iterable[CorpusRecord], stream: IO[str]) -> None:
     """Write records as JSON lines, the form :func:`iter_corpus` reads."""
+    write = stream.write
     for record in records:
-        stream.write(dumps_record(record.to_dict()))
-        stream.write("\n")
+        write(record_head(record) + "}\n")
 
 
 @dataclass(frozen=True)

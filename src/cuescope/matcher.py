@@ -85,8 +85,6 @@ def find_matches_trie(trie: RuleTrie, tokens: Sequence[str]) -> list[CueMatch]:
     root = trie.root
     root_children = root.children
     root_wild = root.wildcard_child
-    if root_wild is None and root_children.keys().isdisjoint(tokens):
-        return matches  # no token starts a phrase
     n = len(tokens)
     for start in range(n):
         first = root_children.get(tokens[start])

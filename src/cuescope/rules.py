@@ -237,8 +237,9 @@ class RuleSet:
 def parse_rule_line(line: str, rule_id: int = 0, line_no: int | None = None) -> ContextRule:
     """Parse one non-comment, non-blank rule line.
 
-    Raises :class:`MalformedRule` on a wrong column count, an unknown
-    direction/cue_type/value, or a non-integer or negative window.
+    Raises :class:`MalformedRule` on a wrong column count, a phrase
+    :class:`ContextRule` rejects, an unknown direction/cue_type/value, or
+    a non-integer or negative window.
     """
     cols = line.rstrip("\r\n").split("\t")
     if len(cols) != 5:
@@ -251,10 +252,6 @@ def parse_rule_line(line: str, rule_id: int = 0, line_no: int | None = None) -> 
     if any(not tok for tok in phrase):
         raise MalformedRule(
             f"phrase {cols[0]!r} has empty tokens (double space?)", line_no=line_no, column=1
-        )
-    if any(tok.split() != [tok] for tok in phrase):
-        raise MalformedRule(
-            f"phrase {cols[0]!r} has whitespace other than single spaces", line_no=line_no, column=1
         )
     direction = _DIRECTIONS.get(cols[1].strip().lower())
     if direction is None:
@@ -273,10 +270,13 @@ def parse_rule_line(line: str, rule_id: int = 0, line_no: int | None = None) -> 
         ) from None
     if window < 0:
         raise MalformedRule(f"window {window} is negative", line_no=line_no, column=5)
-    return ContextRule(
-        id=rule_id, phrase=phrase, direction=direction,
-        cue_type=cue_type, value=value, window=window,
-    )
+    try:
+        return ContextRule(
+            id=rule_id, phrase=phrase, direction=direction,
+            cue_type=cue_type, value=value, window=window,
+        )
+    except ValueError as err:  # a phrase token ContextRule rejects
+        raise MalformedRule(str(err), line_no=line_no, column=1) from None
 
 
 def load_rules(source: str | os.PathLike | IO) -> RuleSet:

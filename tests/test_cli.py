@@ -148,7 +148,9 @@ def test_annotate_output_file_deterministic(tmp_path, starter_rules_path, hand_g
 def reference_line(record, result) -> str:
     """A record and its result as the per-record loop writes them: the
     record's dict plus a ``pred`` dict or an ``error``, via dumps_record."""
-    obj = record.to_dict()
+    obj = {"tokens": record.tokens, "concept": [record.concept.start, record.concept.end]}
+    if record.gold is not None:
+        obj["gold"] = record.gold
     if isinstance(result, InvalidSpan):
         obj["error"] = str(result)
     else:
@@ -271,6 +273,35 @@ def test_annotate_same_input_and_output_is_refused(tmp_path, paper_rules, capsys
                    "--input", str(corpus), "--output", str(alias)) == 3
     assert "same file" in capsys.readouterr().err
     assert corpus.read_bytes() == before
+
+
+@pytest.mark.parametrize("redirect", ["stdin", "stdout-append"])
+def test_annotate_redirect_onto_the_input_is_refused(tmp_path, paper_rules, redirect):
+    # `--input - --output X < X` would empty X before reading it, and
+    # `--input X >> X` would read its own output back without end
+    corpus = write_corpus_file(tmp_path, [{"tokens": ["no", "mi"], "concept": [1, 2]}])
+    before = corpus.read_bytes()
+    argv = [sys.executable, "-m", "cuescope.cli", "annotate", "--rules", str(paper_rules)]
+    with open(corpus, "rb") as stdin, open(corpus, "ab") as stdout:
+        if redirect == "stdin":
+            argv += ["--input", "-", "--output", str(corpus)]
+            proc = subprocess.run(argv, stdin=stdin, stderr=subprocess.PIPE, timeout=120)
+        else:
+            argv += ["--input", str(corpus)]
+            proc = subprocess.run(argv, stdout=stdout, stderr=subprocess.PIPE, timeout=120)
+    assert proc.returncode == 3
+    assert b"same file" in proc.stderr
+    assert corpus.read_bytes() == before
+
+
+def test_annotate_shared_device_as_input_and_output_is_allowed(paper_rules):
+    # stdin and stdout on one device that is not a regular file, as on a
+    # terminal, are not the same file in the sense above
+    proc = subprocess.run(
+        [sys.executable, "-m", "cuescope.cli", "annotate", "--rules", str(paper_rules)],
+        stdin=subprocess.DEVNULL, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, timeout=120,
+    )
+    assert proc.returncode == 0 and proc.stderr == b""
 
 
 def test_annotate_non_utf8_rules_exit_2(tmp_path, capsys):

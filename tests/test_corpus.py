@@ -1,4 +1,5 @@
 import io
+import json
 
 import pytest
 
@@ -62,6 +63,21 @@ def test_corpus_round_trip(tmp_path):
     # fixed point on the serialized text as well
     text = jsonl(records)
     assert jsonl(read_corpus(io.StringIO(text))) == text
+
+
+def test_write_corpus_is_compact_json_per_record():
+    records = [
+        CorpusRecord(["no", "fièvre", "\"q\"", "\\", "\u2028", "😀", "\x00"], ConceptSpan(1, 2),
+                     {"temporality": "historical", "negation": "negated"}),
+        CorpusRecord([], ConceptSpan(-1, 7), {}),
+    ]
+    expected = "".join(
+        json.dumps({"tokens": r.tokens, "concept": [r.concept.start, r.concept.end], "gold": r.gold},
+                   ensure_ascii=False, separators=(",", ":")) + "\n"
+        for r in records
+    )
+    assert jsonl(records) == expected
+    assert jsonl([CorpusRecord(["a"], ConceptSpan(0, 1))]) == '{"tokens":["a"],"concept":[0,1]}\n'
 
 
 @pytest.mark.parametrize(

@@ -131,22 +131,6 @@ def rule_sets(draw, max_size=15):
 tokens_strategy = st.lists(_sentence_token, max_size=14)
 
 
-@settings(max_examples=200, deadline=None)
-@given(rule_sets(), st.lists(st.sampled_from(["a", "x", WILDCARD]), max_size=2),
-       st.lists(st.sampled_from(["y", "z"]), max_size=10))
-def test_leading_wildcard_matches_sentences_sharing_no_root_token(ruleset, tail, tokens):
-    # no token of these sentences starts a literal phrase, so only the
-    # leading-wildcard rule can match: the trie may not skip them
-    lead = ContextRule(0, (WILDCARD, *tail), Direction.FORWARD, CueType.TRIGGER,
-                       RuleValue.NEGATED, 3)
-    rules = [lead] + [r for r in ruleset if r.key() != lead.key()]
-    ruleset = RuleSet.from_rules(rules)
-    trie_out = find_matches_trie(build_trie(ruleset), tokens)
-    assert trie_out == find_matches_naive(ruleset, tokens)
-    if not tail:
-        assert {m.start for m in trie_out} == set(range(len(tokens)))
-
-
 @settings(max_examples=300, deadline=None)
 @given(rule_sets(), tokens_strategy)
 def test_trie_equals_naive(ruleset, tokens):
