@@ -2,7 +2,8 @@
 
 Subcommands: annotate, evaluate, bench, rules-validate, generate.
 Data goes to stdout, diagnostics to stderr.  Exit codes: 0 ok,
-1 assertion failure (--check/--strict), 2 rule errors, 3 data errors.
+1 assertion failure (--check/--strict), 2 rule errors (an unreadable
+rule file too), 3 data errors, 141 the reader of the output went away.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import IO, Iterator
 from . import corpus as corpus_mod
 # ``annotate`` is not called here, but perfbench/tracing.py wraps it as
 # ``cli.annotate``, so the name stays.
-from .engine import ContextAnnotation, InvalidSpan, annotate, annotate_batch, annotate_records  # noqa: F401
+from .engine import ContextAnnotation, InvalidSpan, annotate, annotate_records  # noqa: F401
 from .evaluate import LengthMismatch, score
 from .matcher import RuleTrie, build_trie
 from .rules import (
@@ -39,6 +40,8 @@ EXIT_OK = 0
 EXIT_ASSERTION = 1
 EXIT_RULE_ERROR = 2
 EXIT_DATA_ERROR = 3
+#: 128 + SIGPIPE, what a shell reports for a process that signal ended
+EXIT_BROKEN_PIPE = 141
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -100,6 +103,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-len", type=int, default=14)
     p.add_argument("--output", default="-")
     return parser
+
+
+def _load_rules(path: str) -> RuleSet:
+    """The rule file at ``path``; one that cannot be read is a rule error."""
+    try:
+        return load_rules(path)
+    except OSError as err:
+        raise MalformedRule(str(err)) from None
 
 
 def _open_out(path: str) -> contextlib.AbstractContextManager[IO[str]]:
@@ -187,7 +198,7 @@ def _annotate_stream(
 
 
 def cmd_annotate(args: argparse.Namespace) -> int:
-    ruleset = load_rules(args.rules)
+    ruleset = _load_rules(args.rules)
     trie = build_trie(ruleset) if args.engine == "trie" else None
     errors = 0
     # the input is opened first, so that a missing input leaves the output
@@ -199,12 +210,10 @@ def cmd_annotate(args: argparse.Namespace) -> int:
             )
         with _open_out(args.output) as out:
             write = out.write
-            for index, (record, result) in enumerate(
-                _annotate_stream(corpus_mod.iter_corpus(source), ruleset, trie)
-            ):
+            for record, result in _annotate_stream(corpus_mod.iter_corpus(source), ruleset, trie):
                 if type(result) is InvalidSpan:
                     errors += 1
-                    print(f"record {index}: {result}", file=sys.stderr)
+                    print(f"line {record.line_no}: {result}", file=sys.stderr)
                 write(_output_line(record, result))
     if errors and args.strict:
         print(f"{errors} record(s) failed under --strict", file=sys.stderr)
@@ -213,15 +222,15 @@ def cmd_annotate(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    ruleset = load_rules(args.rules)
+    ruleset = _load_rules(args.rules)
     trie = build_trie(ruleset) if args.engine == "trie" else None
     with _open_in(args.gold) as source:
         records = corpus_mod.read_corpus(source)
     pairs = ((record.tokens, record.concept) for record in records)
-    predictions = annotate_batch(pairs, ruleset, trie)
-    for prediction in predictions:
-        if isinstance(prediction, InvalidSpan):
-            raise corpus_mod.CorpusError(str(prediction))
+    predictions = list(annotate_records(pairs, ruleset, trie))
+    for record, prediction in zip(records, predictions):
+        if type(prediction) is InvalidSpan:
+            raise corpus_mod.CorpusError(f"line {record.line_no}: {prediction}")
     report = score(predictions, records)
     sys.stdout.write(report.render_csv() if args.format == "csv" else report.render_text())
     return EXIT_OK
@@ -258,7 +267,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 
 def cmd_rules_validate(args: argparse.Namespace) -> int:
-    ruleset = load_rules(args.rules)
+    ruleset = _load_rules(args.rules)
     print(f"ok: {len(ruleset)} rules ({args.rules})")
     return EXIT_OK
 
@@ -270,7 +279,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
             out.write(serialize_rules(ruleset))
         else:
             if args.rules is not None:
-                ruleset = load_rules(args.rules)
+                ruleset = _load_rules(args.rules)
             else:
                 ruleset = corpus_mod.generate_rules(args.rule_seed, args.rule_count)
             config = corpus_mod.GeneratorConfig(
@@ -301,6 +310,11 @@ def main(argv: list[str] | None = None) -> int:
     except (MalformedRule, DuplicateRule) as err:
         print(f"rule error: {err}", file=sys.stderr)
         return EXIT_RULE_ERROR
+    except BrokenPipeError:
+        # nothing reads the output any more: say nothing, and point stdout
+        # at the null device so that its flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except (corpus_mod.CorpusError, corpus_mod.ConfigError, LengthMismatch, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_DATA_ERROR

@@ -19,7 +19,7 @@ import json
 import os
 import random
 import string
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import repeat
 from json.encoder import encode_basestring
 from typing import IO, Iterable, Iterator, Sequence
@@ -85,11 +85,17 @@ def tokenize(text: str) -> list[str]:
 @dataclass(frozen=True)
 class CorpusRecord:
     """One evaluation unit: a tokenized sentence, the concept span within
-    it, and optional gold modifier values (strings, keyed by dimension)."""
+    it, and optional gold modifier values (strings, keyed by dimension).
+
+    ``line_no`` is the 1-based line of the file the record was read from,
+    for diagnostics (None for a record built in code); it takes no part in
+    comparisons.
+    """
 
     tokens: list[str]
     concept: ConceptSpan
     gold: dict[str, str] | None = None
+    line_no: int | None = field(default=None, compare=False)
 
 
 def _record_from_obj(obj: object, line_no: int, line: str) -> CorpusRecord:
@@ -121,7 +127,7 @@ def _record_from_obj(obj: object, line_no: int, line: str) -> CorpusRecord:
                 raise CorpusError(f"line {line_no}: unknown gold dimension {dim!r}")
             if type(value) is not str or value not in allowed:
                 raise CorpusError(f"line {line_no}: bad gold value {value!r} for {dim}")
-    return CorpusRecord(tokens, ConceptSpan(concept[0], concept[1]), gold)
+    return CorpusRecord(tokens, ConceptSpan(concept[0], concept[1]), gold, line_no)
 
 
 def iter_corpus(source: str | os.PathLike | IO | Iterable[str | bytes]) -> Iterator[CorpusRecord]:

@@ -28,7 +28,9 @@ Steps 1-3 depend on the sentence only, step 4 on each concept.  So
 all its concepts from the same scopes; :func:`annotate` is its
 one-concept case, and :func:`annotate_records` hands each run of
 consecutive records with equal tokens to one such call.  Scope resolution
-reads each rule through ``RuleSet.table``, built once per rule set.  All
+reads each rule through ``RuleSet.table``, built once per rule set, once
+per match; it tests pseudo overlaps and clamps windows with plain loops
+and comparisons, and builds each :class:`Scope` as a tuple.  All
 functions here are pure.  :func:`annotate_sentence` lowercases the tokens
 it matches, so every entry point is case-insensitive; :func:`resolve_scopes`
 reads only token counts.
@@ -37,7 +39,7 @@ reads only token counts.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .matcher import CueMatch, RuleTrie, find_matches_naive, find_matches_trie
 from .rules import (
@@ -82,10 +84,13 @@ class ConceptSpan:
     end: int
 
 
-@dataclass(frozen=True, slots=True)
-class Scope:
+class Scope(NamedTuple):
     """Token interval a surviving trigger affects, after windowing and
-    truncation.  ``extends`` records which side of the cue it lies on."""
+    truncation.  ``extends`` records which side of the cue it lies on.
+
+    A tuple, as :class:`CueMatch` is: immutable and hashable, equal to the
+    plain tuple of its fields, and ordered as that tuple is.
+    """
 
     cue: CueMatch
     dimension: Dimension
@@ -119,6 +124,8 @@ class ContextAnnotation:
 _PSEUDO, _TRIGGER = CueType.PSEUDO, CueType.TRIGGER
 _FORWARD, _BACKWARD = Direction.FORWARD, Direction.BACKWARD
 _DEFAULT_VALUES = tuple(DEFAULTS[d] for d in Dimension)
+#: Builds a :class:`Scope` without the Python-level ``__new__`` of a NamedTuple.
+_new = tuple.__new__
 
 
 def resolve_scopes(matches: Sequence[CueMatch], ruleset: RuleSet, sentence_len: int) -> list[Scope]:
@@ -130,21 +137,30 @@ def resolve_scopes(matches: Sequence[CueMatch], ruleset: RuleSet, sentence_len: 
     if not matches:
         return []
     table = ruleset.table
-    rows = [(m, table[m.rule_id]) for m in matches]
-    pseudos = [(m.start, m.end, e.dim_index) for m, e in rows if e.cue_type is _PSEUDO]
+    entries = [table[rule_id] for rule_id, _, _ in matches]
+    # (start, end, dimension index) of every pseudo match
+    pseudos = [
+        (m.start, m.end, e.dim_index) for m, e in zip(matches, entries) if e.cue_type is _PSEUDO
+    ]
     triggers: list[tuple[CueMatch, RuleEntry]] = []
     # (token, dimension index) of the terminations that survive
     # suppression, by the side they stop; a bidirectional one stops both
     forward_stops: list[tuple[int, int]] = []
     backward_stops: list[tuple[int, int]] = []
-    for m, e in rows:
-        if e.cue_type is _PSEUDO:
+    for m, e in zip(matches, entries):
+        cue_type = e.cue_type
+        if cue_type is _PSEUDO:
             continue
-        if pseudos and any(
-            dim == e.dim_index and start < m.end and m.start < end for start, end, dim in pseudos
-        ):
-            continue
-        if e.cue_type is _TRIGGER:
+        if pseudos:
+            dim, m_start, m_end = e.dim_index, m.start, m.end
+            suppressed = False
+            for p_start, p_end, p_dim in pseudos:
+                if p_dim == dim and p_start < m_end and m_start < p_end:
+                    suppressed = True
+                    break
+            if suppressed:
+                continue
+        if cue_type is _TRIGGER:
             triggers.append((m, e))
             continue
         if e.forward:
@@ -156,21 +172,25 @@ def resolve_scopes(matches: Sequence[CueMatch], ruleset: RuleSet, sentence_len: 
     for m, (_, dim, dimension, forward, backward, window, value, _) in triggers:
         if forward:
             start = m.end
-            end = min(start + window, sentence_len)
+            end = start + window
+            if end > sentence_len:
+                end = sentence_len
             # a forward-stopping termination starting inside the scope cuts it
             for stop, stop_dim in forward_stops:
                 if stop_dim == dim and start < stop < end:
                     end = stop
             if start < end:
-                scopes.append(Scope(m, dimension, value, start, end, _FORWARD))
+                scopes.append(_new(Scope, (m, dimension, value, start, end, _FORWARD)))
         if backward:
             end = m.start
-            start = max(end - window, 0)
+            start = end - window
+            if start < 0:
+                start = 0
             for stop, stop_dim in backward_stops:
                 if stop_dim == dim and start < stop < end:
                     start = stop
             if start < end:
-                scopes.append(Scope(m, dimension, value, start, end, _BACKWARD))
+                scopes.append(_new(Scope, (m, dimension, value, start, end, _BACKWARD)))
     return scopes
 
 

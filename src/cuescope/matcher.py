@@ -5,6 +5,14 @@ Two interchangeable matchers produce identical output:
 * :func:`find_matches_trie` walks a nested-map index of all rule phrases,
   so one pass over the sentence matches every rule at once.  Its cost per
   start position is bounded by the longest phrase, not by the rule count.
+  A start whose token is not a root key (and no phrase begins with a
+  wildcard) costs one dict lookup.  From a hit the walk follows the
+  literal chain in a plain loop; a node with a wildcard edge adds that
+  branch to a pending list, created only then, and the branches are
+  walked the same way once the chain ends.  The winner is the deepest
+  node's ``terminal_rules`` list itself, kept sorted by ``build_trie``;
+  ids are copied and sorted only when two branches end at the same
+  depth, which needs a wildcard branch.
 * :func:`find_matches_naive` scans rule by rule, the way loop-based
   engines do.  It is the reference oracle; its runtime grows linearly
   with the rule count, which is exactly what the benchmark measures.
@@ -18,18 +26,27 @@ lowercased by the caller.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .rules import WILDCARD, RuleSet
 
 
-@dataclass(frozen=True, slots=True)
-class CueMatch:
-    """One rule occurrence: rule id plus half-open token span [start, end)."""
+class CueMatch(NamedTuple):
+    """One rule occurrence: rule id plus half-open token span [start, end).
+
+    A tuple, so that building one per match is cheap: it is immutable and
+    hashable, compares equal to the plain tuple ``(rule_id, start, end)``,
+    and is ordered as that tuple is.
+    """
 
     rule_id: int
     start: int
     end: int
+
+
+#: Builds a tuple subclass without the Python-level ``__new__`` of a
+#: NamedTuple, which costs more than the tuple itself in the hot loops.
+_new = tuple.__new__
 
 
 class TrieNode:
@@ -55,7 +72,11 @@ class RuleTrie:
 
 
 def build_trie(ruleset: RuleSet) -> RuleTrie:
-    """Index every rule phrase word by word; wildcards get their own edge."""
+    """Index every rule phrase word by word; wildcards get their own edge.
+
+    A rule set lists its rules by ascending id, so every node's
+    ``terminal_rules`` is sorted, as :func:`find_matches_trie` relies on.
+    """
     root = TrieNode()
     for rule in ruleset:
         node = root
@@ -77,45 +98,48 @@ def build_trie(ruleset: RuleSet) -> RuleTrie:
 def find_matches_trie(trie: RuleTrie, tokens: Sequence[str]) -> list[CueMatch]:
     """All longest-at-start cue matches, sorted by (start, rule_id).
 
-    From each start position the walk explores the literal edge and the
-    wildcard edge of every reached node (both may continue), keeping the
-    deepest terminal hits.
+    From each start position the walk follows the literal edges of the
+    sentence and, in turn, the wildcard edge of every node it reaches
+    (both may continue), keeping the deepest terminal hits.
     """
     matches: list[CueMatch] = []
+    append = matches.append
     root = trie.root
     root_children = root.children
     root_wild = root.wildcard_child
     n = len(tokens)
     for start in range(n):
-        first = root_children.get(tokens[start])
-        if first is None and root_wild is None:
+        node = root_children.get(tokens[start])
+        if node is None and root_wild is None:
             continue
-        best_len = 0
-        best_rules: list[int] = []
-        stack: list[tuple[TrieNode, int]] = []
-        if first is not None:
-            stack.append((first, start + 1))
-        if root_wild is not None:
-            stack.append((root_wild, start + 1))
-        while stack:
-            node, pos = stack.pop()
-            if node.terminal_rules:
-                length = pos - start
-                if length > best_len:
-                    best_len = length
-                    best_rules = list(node.terminal_rules)
-                elif length == best_len:
-                    best_rules.extend(node.terminal_rules)
-            if pos < n:
-                child = node.children.get(tokens[pos])
-                if child is not None:
-                    stack.append((child, pos + 1))
-                if node.wildcard_child is not None:
-                    stack.append((node.wildcard_child, pos + 1))
-        if best_len:
-            end = start + best_len
-            for rule_id in sorted(best_rules):
-                matches.append(CueMatch(rule_id, start, end))
+        pos = start + 1
+        # wildcard branches still to walk, as (node, position after it)
+        pending = None if root_wild is None else [(root_wild, pos)]
+        best_end = 0
+        best: list[int] = []
+        while True:
+            while node is not None:
+                rules = node.terminal_rules
+                if rules:
+                    if pos > best_end:
+                        best_end, best = pos, rules
+                    elif pos == best_end:  # another branch, same length
+                        best = sorted(best + rules)
+                if pos == n:
+                    break
+                wild = node.wildcard_child
+                if wild is not None:
+                    if pending is None:
+                        pending = [(wild, pos + 1)]
+                    else:
+                        pending.append((wild, pos + 1))
+                node = node.children.get(tokens[pos])
+                pos += 1
+            if not pending:
+                break
+            node, pos = pending.pop()
+        for rule_id in best:
+            append(_new(CueMatch, (rule_id, start, best_end)))
     return matches
 
 

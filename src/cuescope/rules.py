@@ -219,19 +219,31 @@ class RuleSet:
     @classmethod
     def from_rules(cls, rules: Iterable[ContextRule]) -> "RuleSet":
         """Build a RuleSet, reassigning dense ids and rejecting duplicates."""
-        seen: dict[tuple, int] = {}
-        out = []
-        for i, rule in enumerate(rules):
-            key = rule.key()
-            if key in seen:
+        return _without_duplicates(rules)
+
+
+def _without_duplicates(
+    rules: Iterable[ContextRule], lines: list[tuple[int, str]] | None = None
+) -> RuleSet:
+    """``rules`` with dense ids, or :class:`DuplicateRule` for the first rule
+    whose key an earlier one has.  ``lines[i]``, for rules read from a file,
+    is the line number and text of rule ``i``, and the message names lines.
+    """
+    seen: dict[tuple, int] = {}
+    out: list[ContextRule] = []
+    for i, rule in enumerate(rules):
+        first = seen.setdefault(rule.key(), i)
+        if first != i:
+            if lines is None:
                 raise DuplicateRule(
-                    f"rule {i} duplicates rule {seen[key]}: "
+                    f"rule {i} duplicates rule {first}: "
                     f"{' '.join(rule.phrase)!r} {rule.direction.value} "
                     f"{rule.cue_type.value} {rule.value.value}"
                 )
-            seen[key] = i
-            out.append(rule if rule.id == i else dataclasses.replace(rule, id=i))
-        return cls(rules=tuple(out))
+            (line_no, text), (first_line_no, _) = lines[i], lines[first]
+            raise DuplicateRule(f"line {line_no} duplicates line {first_line_no}: {text!r}")
+        out.append(rule if rule.id == i else dataclasses.replace(rule, id=i))
+    return RuleSet(rules=tuple(out))
 
 
 def parse_rule_line(line: str, rule_id: int = 0, line_no: int | None = None) -> ContextRule:
@@ -304,21 +316,17 @@ def load_rules(source: str | os.PathLike | IO) -> RuleSet:
 
 
 def _load_lines(lines: Iterable[str]) -> RuleSet:
-    rules: list[ContextRule] = []
-    seen: dict[tuple, int] = {}
-    for line_no, raw in enumerate(lines, start=1):
-        stripped = raw.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        rule = parse_rule_line(raw, rule_id=len(rules), line_no=line_no)
-        key = rule.key()
-        if key in seen:
-            raise DuplicateRule(
-                f"line {line_no} duplicates line {seen[key]}: {stripped!r}"
-            )
-        seen[key] = line_no
-        rules.append(rule)
-    return RuleSet(rules=tuple(rules))
+    read: list[tuple[int, str]] = []  # (line number, text) of each rule
+
+    def parsed() -> Iterator[ContextRule]:
+        for line_no, raw in enumerate(lines, start=1):
+            stripped = raw.strip()
+            if stripped and not stripped.startswith("#"):
+                rule = parse_rule_line(raw, rule_id=len(read), line_no=line_no)
+                read.append((line_no, stripped))
+                yield rule
+
+    return _without_duplicates(parsed(), read)
 
 
 def serialize_rules(ruleset: RuleSet) -> str:

@@ -105,6 +105,30 @@ def test_annotate_bad_rules_exit_2(tmp_path, capsys):
     assert "line 1" in capsys.readouterr().err
 
 
+def test_annotate_missing_rules_exit_2(tmp_path, capsys):
+    corpus = write_corpus_file(tmp_path, [])
+    assert run_cli("annotate", "--rules", str(tmp_path / "missing.tsv"), "--input", str(corpus)) == 2
+    assert capsys.readouterr().err.startswith("rule error: [Errno 2] ")
+
+
+def test_annotate_into_a_closed_pipe_exits_141_quietly(tmp_path, paper_rules):
+    # far more output than a pipe buffers, so writes go on after the
+    # reader has closed its end
+    corpus = write_corpus_file(tmp_path, [{"tokens": ["no", "mi"], "concept": [1, 2]}] * 5000)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "cuescope.cli", "annotate", "--rules", str(paper_rules),
+         "--input", str(corpus)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 141
+    assert err == b""
+    assert json.loads(first)["tokens"] == ["no", "mi"]
+
+
 def test_annotate_bad_corpus_exit_3(tmp_path, paper_rules, capsys):
     corpus = tmp_path / "bad.jsonl"
     corpus.write_text("{not json\n", encoding="utf-8")
@@ -121,6 +145,22 @@ def test_annotate_invalid_span_echoed_not_fatal(tmp_path, paper_rules, capsys):
     first, second = json.loads(lines[0]), json.loads(lines[1])
     assert "error" in first and "pred" not in first
     assert second["pred"]["negation"] == "negated"
+
+
+def test_invalid_span_names_its_input_line(tmp_path, paper_rules, capsys):
+    # line 2 is blank, so the second record is on line 3
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text(
+        '{"tokens": ["no", "mi"], "concept": [1, 2], "gold": {"negation": "affirmed"}}\n'
+        "\n"
+        '{"tokens": ["a"], "concept": [3, 4], "gold": {"negation": "affirmed"}}\n',
+        encoding="utf-8",
+    )
+    message = "line 3: concept [3, 4) outside token range of length 1"
+    assert run_cli("annotate", "--rules", str(paper_rules), "--input", str(corpus), "--strict") == 1
+    assert capsys.readouterr().err.splitlines() == [message, "1 record(s) failed under --strict"]
+    assert run_cli("evaluate", "--rules", str(paper_rules), "--gold", str(corpus)) == 3
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_annotate_strict_exit_1(tmp_path, paper_rules):
@@ -197,7 +237,7 @@ def test_annotate_repeated_sentences_as_per_record_annotate(tmp_path, starter_ru
             dimensions.update(result.evidence)
         except InvalidSpan as err:
             result = err
-            errors.append(f"record {index}: {err}")
+            errors.append(f"line {index + 1}: {err}")
         expected.append(reference_line(record, result))
     assert errors and len(dimensions) == 3
     assert output.read_text(encoding="utf-8") == "".join(expected)
@@ -336,6 +376,43 @@ def test_any_bytes_as_corpus_exit_0_or_3(data):
             code = run_cli("annotate", "--rules", str(rules), "--input", str(corpus),
                            "--output", str(Path(tmp) / "out.jsonl"))
     assert code in (0, 3)
+
+
+#: Pieces of rule-file columns, valid and not, for the fuzzer to join by tabs.
+_RULE_FRAGMENTS = [
+    b"no", b"can rule out", b"No  Evidence", b"\\w+", b"\\w+ of", b"caf\xc3\xa9", b"a\xc2\xa0b",
+    b"forward", b"Backward", b"both", b"bidirectional", b"sideways",
+    b"trigger", b"pseudo", b"TERMINATION", b"negated", b"possible", b"nonpatient",
+    b"historical", b"hypothetical", b"other", b"0", b"5", b" 30 ", b"-1", b"x", b"1e3",
+    b"9" * 5000, b"#", b"", b" ", b"\r", b"\xff", b"\xed\xa0\x80",
+]
+
+
+@settings(max_examples=300, deadline=None)
+@example(None)
+@example(PAPER_RULES.encode("utf-8") * 2)
+@given(st.one_of(
+    st.binary(max_size=200),
+    st.lists(
+        st.lists(st.sampled_from(_RULE_FRAGMENTS), max_size=7).map(b"\t".join), max_size=6,
+    ).map(b"\n".join),
+))
+def test_any_bytes_as_rules_exit_0_2_or_3(data):
+    # ``None`` stands for a rules path that does not exist
+    with tempfile.TemporaryDirectory() as tmp:
+        rules, corpus = Path(tmp) / "rules.tsv", Path(tmp) / "corpus.jsonl"
+        if data is not None:
+            rules.write_bytes(data)
+        corpus.write_text('{"tokens": ["no", "Evidence", "of", "mi"], "concept": [3, 4]}\n',
+                          encoding="utf-8")
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr):
+            code = run_cli("annotate", "--rules", str(rules), "--input", str(corpus),
+                           "--output", str(Path(tmp) / "out.jsonl"))
+    assert code in (0, 2, 3)
+    assert "Traceback" not in stderr.getvalue()
+    if data is None:
+        assert code == 2 and stderr.getvalue().startswith("rule error: ")
 
 
 # --- evaluate ---

@@ -1,5 +1,7 @@
+import random
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cuescope.corpus import generate_rules
 from cuescope.matcher import (
@@ -132,11 +134,38 @@ tokens_strategy = st.lists(_sentence_token, max_size=14)
 
 
 @settings(max_examples=300, deadline=None)
+# a wildcard edge two levels below a literal start
+@example(make_rules("a b", f"a b {WILDCARD} d"), ["x", "a", "b", "c", "d"])
+# a literal and a root-wildcard branch ending at the same length: [0, 1]
+@example(make_rules(f"{WILDCARD} y", "x y"), ["x", "y"])
+# a wildcard as the last phrase token, at and past the sentence's end
+@example(make_rules("x", f"x {WILDCARD}"), ["y", "x", "z"])
+@example(make_rules("x", f"x {WILDCARD}"), ["y", "x"])
 @given(rule_sets(), tokens_strategy)
 def test_trie_equals_naive(ruleset, tokens):
     trie_out = find_matches_trie(build_trie(ruleset), tokens)
     naive_out = find_matches_naive(ruleset, tokens)
     assert trie_out == naive_out
+
+
+def test_trie_equals_naive_on_long_sentences_dense_with_cues():
+    # 30-60 tokens over the benchmark's 849 rules, 4-10 phrases injected
+    # (their wildcards bound to any word), the rest drawn from rule words
+    ruleset = generate_rules(7, 849)
+    trie = build_trie(ruleset)
+    words = sorted({word for rule in ruleset for word in rule.phrase if word != WILDCARD})
+    rng = random.Random(849)
+    matched = 0
+    for _ in range(300):
+        tokens = [rng.choice(words) for _ in range(rng.randint(30, 60))]
+        for _ in range(rng.randint(4, 10)):
+            phrase = [rng.choice(words) if w == WILDCARD else w for w in rng.choice(ruleset.rules).phrase]
+            at = rng.randint(0, len(tokens) - len(phrase))
+            tokens[at:at + len(phrase)] = phrase
+        trie_out = find_matches_trie(trie, tokens)
+        assert trie_out == find_matches_naive(ruleset, tokens)
+        matched += len(trie_out)
+    assert matched > 300 * 4
 
 
 def _phrase_matches_at(phrase, tokens, start):
