@@ -9,8 +9,7 @@ from .engine import (
     NegationStatus,
     TemporalityStatus,
     annotate,
-    annotate_batch,
-    annotate_sentence,
+    annotate_records,
     resolve_scopes,
 )
 from .matcher import CueMatch, RuleTrie, build_trie, find_matches_naive, find_matches_trie
@@ -50,8 +49,7 @@ __all__ = [
     "TemporalityStatus",
     "WILDCARD",
     "annotate",
-    "annotate_batch",
-    "annotate_sentence",
+    "annotate_records",
     "build_trie",
     "find_matches_naive",
     "find_matches_trie",

@@ -1,6 +1,6 @@
 """Speed and accuracy harnesses over an incremental rule ramp.
 
-The speed harness times :func:`engine.annotate_batch` over a whole corpus,
+The speed harness times :func:`engine.annotate_records` over a whole corpus,
 per rule-count step and per matcher, repeating each measurement and
 reporting mean/stddev milliseconds.  The ramp starts from a base rule set
 kept in file order and grows it with rules drawn in seeded random order
@@ -27,7 +27,7 @@ from datetime import datetime, timezone
 from typing import Iterator, Sequence
 
 from .corpus import ConfigError, CorpusRecord, GeneratorConfig, generate_corpus, generate_rules
-from .engine import ConceptSpan, annotate_batch
+from .engine import ConceptSpan, annotate_records
 from .evaluate import EvalReport, score
 from .matcher import build_trie
 from .rules import ContextRule, RuleSet
@@ -156,12 +156,12 @@ def run_ramp(config: BenchConfig) -> BenchReport:
             cells.append((count, engine_name, ruleset, trie, build_ms, []))
     for _ in range(config.warmup_runs):
         for _, _, ruleset, trie, _, _ in cells:
-            annotate_batch(pairs, ruleset, trie)
+            list(annotate_records(pairs, ruleset, trie))
     for _ in range(config.runs_per_step):
         for _, _, ruleset, trie, _, times_ms in cells:
             gc.collect()
             t0 = time.perf_counter()
-            annotate_batch(pairs, ruleset, trie)
+            list(annotate_records(pairs, ruleset, trie))
             times_ms.append((time.perf_counter() - t0) * 1000.0)
 
     by_cell: dict[tuple[int, str], BenchRow] = {}
@@ -326,6 +326,6 @@ def run_accuracy_ramp(
     steps = []
     for count, ruleset in ramp_rule_sets(full, base, step, ramp_seed):
         trie = build_trie(ruleset) if use_trie else None
-        predictions = annotate_batch(pairs, ruleset, trie)
+        predictions = list(annotate_records(pairs, ruleset, trie))
         steps.append(AccuracyStep(rule_count=count, report=score(predictions, records)))
     return steps

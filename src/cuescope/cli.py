@@ -14,16 +14,15 @@ import io
 import os
 import stat
 import sys
-from collections import deque
 from json.encoder import encode_basestring
-from typing import IO, Iterator
+from typing import IO
 
 from . import corpus as corpus_mod
 # ``annotate`` is not called here, but perfbench/tracing.py wraps it as
 # ``cli.annotate``, so the name stays.
 from .engine import ContextAnnotation, InvalidSpan, annotate, annotate_records  # noqa: F401
 from .evaluate import LengthMismatch, score
-from .matcher import RuleTrie, build_trie
+from .matcher import build_trie
 from .rules import (
     Dimension,
     DuplicateRule,
@@ -171,32 +170,6 @@ def _output_line(record: corpus_mod.CorpusRecord, result: ContextAnnotation | In
     )
 
 
-def _annotate_stream(
-    records: Iterator[corpus_mod.CorpusRecord], ruleset: RuleSet, trie: RuleTrie | None
-) -> Iterator[tuple[corpus_mod.CorpusRecord, ContextAnnotation | InvalidSpan]]:
-    """Yield ``(record, result)`` for each record, in order, holding only
-    the run of equal-token records ``annotate_records`` has not finished.
-
-    A :class:`CorpusError` from ``records`` is raised once the results of
-    every record before it have been yielded.
-    """
-    pending: deque[corpus_mod.CorpusRecord] = deque()
-    failure: list[corpus_mod.CorpusError] = []
-
-    def pairs():
-        try:
-            for record in records:
-                pending.append(record)
-                yield record.tokens, record.concept
-        except corpus_mod.CorpusError as err:
-            failure.append(err)
-
-    for result in annotate_records(pairs(), ruleset, trie):
-        yield pending.popleft(), result
-    if failure:
-        raise failure[0]
-
-
 def cmd_annotate(args: argparse.Namespace) -> int:
     ruleset = _load_rules(args.rules)
     trie = build_trie(ruleset) if args.engine == "trie" else None
@@ -210,7 +183,11 @@ def cmd_annotate(args: argparse.Namespace) -> int:
             )
         with _open_out(args.output) as out:
             write = out.write
-            for record, result in _annotate_stream(corpus_mod.iter_corpus(source), ruleset, trie):
+            # annotate_records yields each result before it reads the next
+            # pair, so ``record`` is the record that ``result`` belongs to;
+            # a malformed line raises once the lines before it are written
+            pairs = (((record := r).tokens, r.concept) for r in corpus_mod.iter_corpus(source))
+            for result in annotate_records(pairs, ruleset, trie):
                 if type(result) is InvalidSpan:
                     errors += 1
                     print(f"line {record.line_no}: {result}", file=sys.stderr)
@@ -273,24 +250,28 @@ def cmd_rules_validate(args: argparse.Namespace) -> int:
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
+    # the output is opened, which empties it, only once every input is read
+    # and checked: it may be the rule file itself
+    if args.kind == "rules":
+        text = serialize_rules(corpus_mod.generate_rules(args.seed, args.count))
+        with _open_out(args.output) as out:
+            out.write(text)
+        return EXIT_OK
+    if args.rules is not None:
+        ruleset = _load_rules(args.rules)
+    else:
+        ruleset = corpus_mod.generate_rules(args.rule_seed, args.rule_count)
+    config = corpus_mod.GeneratorConfig(
+        seed=args.seed,
+        sentence_count=args.count,
+        vocab_size=args.vocab,
+        min_len=args.min_len,
+        max_len=args.max_len,
+        cue_injection_rate=args.rate,
+    )
+    records = corpus_mod.generate_corpus(config, ruleset)
     with _open_out(args.output) as out:
-        if args.kind == "rules":
-            ruleset = corpus_mod.generate_rules(args.seed, args.count)
-            out.write(serialize_rules(ruleset))
-        else:
-            if args.rules is not None:
-                ruleset = _load_rules(args.rules)
-            else:
-                ruleset = corpus_mod.generate_rules(args.rule_seed, args.rule_count)
-            config = corpus_mod.GeneratorConfig(
-                seed=args.seed,
-                sentence_count=args.count,
-                vocab_size=args.vocab,
-                min_len=args.min_len,
-                max_len=args.max_len,
-                cue_injection_rate=args.rate,
-            )
-            corpus_mod.write_corpus(corpus_mod.generate_corpus(config, ruleset), out)
+        corpus_mod.write_corpus(records, out)
     return EXIT_OK
 
 

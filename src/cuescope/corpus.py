@@ -223,10 +223,9 @@ class GeneratorConfig:
     min_len: int = 6
     max_len: int = 14
     cue_injection_rate: float = 0.3
-    rule_count: int = 849
 
     def __post_init__(self) -> None:
-        if self.sentence_count <= 0 or self.vocab_size <= 0 or self.rule_count <= 0:
+        if self.sentence_count <= 0 or self.vocab_size <= 0:
             raise ConfigError("counts must be positive")
         if not (1 <= self.min_len <= self.max_len):
             raise ConfigError(

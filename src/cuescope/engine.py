@@ -24,16 +24,16 @@ Dimensions without a winning cue keep their defaults: affirmed, patient,
 recent.
 
 Steps 1-3 depend on the sentence only, step 4 on each concept.  So
-:func:`annotate_sentence` matches and resolves a sentence once and assigns
-all its concepts from the same scopes; :func:`annotate` is its
-one-concept case, and :func:`annotate_records` hands each run of
-consecutive records with equal tokens to one such call.  Scope resolution
-reads each rule through ``RuleSet.table``, built once per rule set, once
-per match; it tests pseudo overlaps and clamps windows with plain loops
-and comparisons, and builds each :class:`Scope` as a tuple.  All
-functions here are pure.  :func:`annotate_sentence` lowercases the tokens
-it matches, so every entry point is case-insensitive; :func:`resolve_scopes`
-reads only token counts.
+:func:`annotate_records` yields one result per record, before it reads the
+next record, and matches and resolves each run of consecutive records with
+equal tokens once: at the run's first valid concept, whose scopes every
+later concept of the run is assigned from.  :func:`annotate` is the
+one-record case.  Scope resolution reads each rule through
+``RuleSet.table``, built once per rule set, once per match; it tests
+pseudo overlaps and clamps windows with plain loops and comparisons, and
+builds each :class:`Scope` as a tuple.  All functions here are pure.
+Tokens are lowercased for matching, so every entry point is
+case-insensitive; :func:`resolve_scopes` reads only token counts.
 """
 
 from __future__ import annotations
@@ -69,11 +69,6 @@ DIMENSION_VALUES = {
 
 class InvalidSpan(ValueError):
     """A concept span outside the sentence's token range."""
-
-    def __init__(self, message: str, index: int | None = None):
-        self.index = index
-        where = f"record {index}: " if index is not None else ""
-        super().__init__(f"{where}{message}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -231,44 +226,22 @@ def _check_trie(trie: RuleTrie | None, ruleset: RuleSet) -> None:
         raise ValueError("the trie was built from a different rule set")
 
 
-def annotate_sentence(
-    tokens: Sequence[str],
-    concepts: Sequence[ConceptSpan],
-    ruleset: RuleSet,
-    trie: RuleTrie | None = None,
-) -> list[ContextAnnotation | InvalidSpan]:
-    """Classify every concept mention of one sentence.
+def _sentence_scopes(tokens: Sequence[str], ruleset: RuleSet, trie: RuleTrie | None) -> list[Scope]:
+    """Match ``tokens``, lowercased as rule phrases are on load, through
+    ``trie`` when given, else through the naive reference matcher, and
+    resolve the scopes of the matches."""
+    joined = "".join(tokens)
+    if joined != joined.lower():  # a new list only when case must fold
+        tokens = [token.lower() for token in tokens]
+    if trie is not None:
+        matches = find_matches_trie(trie, tokens)
+    else:
+        matches = find_matches_naive(ruleset, tokens)
+    return resolve_scopes(matches, ruleset, len(tokens))
 
-    The sentence is matched and its scopes resolved once, and only when
-    at least one concept span is valid; each concept is then assigned
-    from the same scopes.  Returns one result per concept, in order: its
-    annotation, or an :class:`InvalidSpan` (not raised) when the concept
-    lies outside the token range.  Matching runs through ``trie`` when
-    given, else through the naive reference matcher; the result is
-    identical either way.  Tokens match case-insensitively: they are
-    lowercased for matching, as rule phrases are on load.  Raises
-    ``ValueError`` when ``trie`` was built from a different rule set.
-    """
-    _check_trie(trie, ruleset)
-    n = len(tokens)
-    valid = [0 <= c.start < c.end <= n for c in concepts]
-    scopes: list[Scope] = []
-    if any(valid):
-        joined = "".join(tokens)
-        if joined != joined.lower():  # a new list only when case must fold
-            tokens = [token.lower() for token in tokens]
-        if trie is not None:
-            matches = find_matches_trie(trie, tokens)
-        else:
-            matches = find_matches_naive(ruleset, tokens)
-        scopes = resolve_scopes(matches, ruleset, n)
-    table = ruleset.table
-    return [
-        _assign(scopes, table, concept) if ok else InvalidSpan(
-            f"concept [{concept.start}, {concept.end}) outside token range of length {n}"
-        )
-        for concept, ok in zip(concepts, valid)
-    ]
+
+def _invalid_span(concept: ConceptSpan, n: int) -> InvalidSpan:
+    return InvalidSpan(f"concept [{concept.start}, {concept.end}) outside token range of length {n}")
 
 
 def annotate(
@@ -279,14 +252,17 @@ def annotate(
 ) -> ContextAnnotation:
     """Classify one concept mention within one sentence.
 
-    Same as :func:`annotate_sentence` with one concept, except that it
-    raises the :class:`InvalidSpan` when the concept lies outside the
-    token range.
+    Matching runs through ``trie`` when given, else through the naive
+    reference matcher; the result is identical either way.  Tokens match
+    case-insensitively.  Raises :class:`InvalidSpan` when the concept lies
+    outside the token range, and ``ValueError`` when ``trie`` was built
+    from a different rule set.
     """
-    (result,) = annotate_sentence(tokens, (concept,), ruleset, trie)
-    if isinstance(result, InvalidSpan):
-        raise result
-    return result
+    _check_trie(trie, ruleset)
+    n = len(tokens)
+    if not 0 <= concept.start < concept.end <= n:
+        raise _invalid_span(concept, n)
+    return _assign(_sentence_scopes(tokens, ruleset, trie), ruleset.table, concept)
 
 
 def annotate_records(
@@ -294,39 +270,27 @@ def annotate_records(
     ruleset: RuleSet,
     trie: RuleTrie | None = None,
 ) -> Iterator[ContextAnnotation | InvalidSpan]:
-    """Yield the result of each ``(tokens, concept)`` record, in order.
+    """Yield the result of each ``(tokens, concept)`` record, in order,
+    before reading the next record.
 
-    Each run of consecutive records with equal tokens goes to one
-    :func:`annotate_sentence` call, so a sentence listed once per concept
-    is matched and resolved once; equal sentences that are not adjacent
-    are annotated separately.  Results are yielded as each run ends, and
-    an invalid span is yielded as an untagged :class:`InvalidSpan`.
+    Element-wise equal to :func:`annotate`, except that a record with an
+    invalid concept span yields its :class:`InvalidSpan` (not raised) and
+    processing continues.  A run of consecutive records with equal tokens
+    is matched and resolved once, at its first valid concept, and not at
+    all when it has none; equal sentences that are not adjacent are
+    matched again.  Raises ``ValueError`` when ``trie`` was built from a
+    different rule set.
     """
     _check_trie(trie, ruleset)
+    table = ruleset.table
     run_tokens: Sequence[str] | None = None
-    concepts: list[ConceptSpan] = []
+    scopes: list[Scope] | None = None  # None: the run is not resolved yet
     for tokens, concept in records:
         if tokens != run_tokens:
-            if concepts:
-                yield from annotate_sentence(run_tokens, concepts, ruleset, trie)
-            run_tokens, concepts = tokens, []
-        concepts.append(concept)
-    if concepts:
-        yield from annotate_sentence(run_tokens, concepts, ruleset, trie)
-
-
-def annotate_batch(
-    records: Iterable[tuple[Sequence[str], ConceptSpan]],
-    ruleset: RuleSet,
-    trie: RuleTrie | None = None,
-) -> list[ContextAnnotation | InvalidSpan]:
-    """Annotate records in order: :func:`annotate_records` as a list.
-
-    Element-wise identical to :func:`annotate`.  A record with an invalid
-    concept span yields the :class:`InvalidSpan` (tagged with the record
-    index) in its slot; processing continues.
-    """
-    return [
-        InvalidSpan(str(result), index=index) if isinstance(result, InvalidSpan) else result
-        for index, result in enumerate(annotate_records(records, ruleset, trie))
-    ]
+            run_tokens, n, scopes = tokens, len(tokens), None
+        if 0 <= concept.start < concept.end <= n:
+            if scopes is None:
+                scopes = _sentence_scopes(tokens, ruleset, trie)
+            yield _assign(scopes, table, concept)
+        else:
+            yield _invalid_span(concept, n)

@@ -66,10 +66,6 @@ class RuleTrie:
     root: TrieNode
     ruleset: RuleSet = field(repr=False)
 
-    @property
-    def rule_count(self) -> int:
-        return len(self.ruleset)
-
 
 def build_trie(ruleset: RuleSet) -> RuleTrie:
     """Index every rule phrase word by word; wildcards get their own edge.

@@ -506,6 +506,31 @@ def test_generate_corpus_with_rule_file(tmp_path, paper_rules, capsys):
     assert len(out_lines(capsys)) == 5
 
 
+@pytest.mark.parametrize("bad, code", [
+    (("--rules", "missing.tsv"), 2),
+    (("--min-len", "9", "--max-len", "3"), 3),
+])
+def test_generate_leaves_output_alone_on_bad_input(tmp_path, monkeypatch, bad, code):
+    monkeypatch.chdir(tmp_path)
+    existing = tmp_path / "existing.jsonl"
+    existing.write_text('{"tokens": ["kept"], "concept": [0, 1]}\n', encoding="utf-8")
+    before = existing.read_bytes()
+    assert run_cli("generate", "corpus", "--count", "3", *bad, "--output", str(existing)) == code
+    assert existing.read_bytes() == before
+
+
+def test_generate_corpus_may_overwrite_its_rule_file(tmp_path, paper_rules):
+    elsewhere = tmp_path / "elsewhere.jsonl"
+    args = ("generate", "corpus", "--seed", "3", "--count", "5", "--rate", "1.0",
+            "--rules", str(paper_rules))
+    assert run_cli(*args, "--output", str(elsewhere)) == 0
+    assert run_cli(*args, "--output", str(paper_rules)) == 0
+    assert paper_rules.read_bytes() == elsewhere.read_bytes()
+    tokens = {t for line in elsewhere.read_text(encoding="utf-8").splitlines()
+              for t in json.loads(line)["tokens"]}
+    assert tokens & set(PAPER_RULES.split())  # cues injected from the rules
+
+
 def test_console_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-c",

@@ -13,8 +13,7 @@ from cuescope.engine import (
     NegationStatus,
     TemporalityStatus,
     annotate,
-    annotate_batch,
-    annotate_sentence,
+    annotate_records,
     resolve_scopes,
 )
 from cuescope.matcher import build_trie, find_matches_naive, find_matches_trie
@@ -275,7 +274,7 @@ def test_engine_agrees_with_reference_oracle(ruleset, sc):
 @given(rule_sets(), sentence_and_concepts())
 def test_sentence_agrees_with_reference_oracle_for_every_concept(ruleset, sc):
     tokens, concepts = sc
-    results = annotate_sentence(tokens, concepts, ruleset, build_trie(ruleset))
+    results = list(annotate_records(((tokens, c) for c in concepts), ruleset, build_trie(ruleset)))
     assert len(results) == len(concepts)
     for annotation, concept in zip(results, concepts):
         assert reference_form(annotation) == \
@@ -289,8 +288,8 @@ def test_annotation_ignores_token_case(ruleset, sc, rng):
     mixed = ["".join(c.upper() if rng.random() < 0.5 else c for c in token) for token in tokens]
     given_tokens = list(mixed)
     for trie in (build_trie(ruleset), None):
-        assert annotate_sentence(mixed, concepts, ruleset, trie) == \
-            annotate_sentence(tokens, concepts, ruleset, trie)
+        assert list(annotate_records(((mixed, c) for c in concepts), ruleset, trie)) == \
+            list(annotate_records(((tokens, c) for c in concepts), ruleset, trie))
     assert mixed == given_tokens
 
 
@@ -363,7 +362,7 @@ def test_adding_pseudo_never_adds_non_default_without_terminations(ruleset, sc, 
             assert dimension not in after.evidence
 
 
-# --- annotate_batch ---
+# --- annotate_records over a batch of records ---
 
 def test_batch_matches_elementwise_annotate():
     rs = RuleSet.from_rules([trigger("no"), trigger("possible", value=RuleValue.POSSIBLE)])
@@ -372,26 +371,25 @@ def test_batch_matches_elementwise_annotate():
         (["no", "mi"], ConceptSpan(1, 2)),
         (["possible", "mi"], ConceptSpan(1, 2)),
     ]
-    batch = annotate_batch(records, rs, trie)
-    assert batch == [annotate(t, c, rs, trie) for t, c in records]
+    results = list(annotate_records(records, rs, trie))
+    assert results == [annotate(t, c, rs, trie) for t, c in records]
 
 
 def test_batch_empty():
-    assert annotate_batch([], RuleSet(rules=())) == []
+    assert list(annotate_records([], RuleSet(rules=()))) == []
 
 
-def test_batch_reports_invalid_span_with_index_and_continues():
+def test_batch_reports_invalid_span_and_continues():
     rs = RuleSet.from_rules([trigger("no")])
     records = [
         (["no", "mi"], ConceptSpan(1, 2)),
         (["no", "mi"], ConceptSpan(5, 6)),
         (["no", "mi"], ConceptSpan(1, 2)),
     ]
-    out = annotate_batch(records, rs)
+    out = list(annotate_records(records, rs))
     assert out[0] == out[2]
     assert isinstance(out[1], InvalidSpan)
-    assert out[1].index == 1
-    assert "record 1" in str(out[1])
+    assert str(out[1]) == "concept [5, 6) outside token range of length 2"
 
 
 def test_batch_large_synthetic_equals_map():
@@ -409,25 +407,23 @@ def test_batch_large_synthetic_equals_map():
         start = rng.randrange(len(tokens))
         end = rng.randint(start + 1, len(tokens))
         records.append((tokens, ConceptSpan(start, end)))
-    assert annotate_batch(records, rs, trie) == [annotate(t, c, rs, trie) for t, c in records]
+    assert list(annotate_records(records, rs, trie)) == [annotate(t, c, rs, trie) for t, c in records]
 
 
 def outcomes(results):
-    """Results with each InvalidSpan replaced by its index and message,
-    since exceptions compare by identity."""
-    return [
-        ("invalid", r.index, str(r)) if isinstance(r, InvalidSpan) else r for r in results
-    ]
+    """Results with each InvalidSpan replaced by its message, since
+    exceptions compare by identity."""
+    return [("invalid", str(r)) if isinstance(r, InvalidSpan) else r for r in results]
 
 
 def per_record(records, ruleset, trie):
-    """What annotate_batch must return: annotate on each record alone."""
+    """What annotate_records must yield: annotate on each record alone."""
     out = []
-    for index, (tokens, concept) in enumerate(records):
+    for tokens, concept in records:
         try:
             out.append(annotate(tokens, concept, ruleset, trie))
         except InvalidSpan as err:
-            out.append(InvalidSpan(str(err), index=index))
+            out.append(err)
     return outcomes(out)
 
 
@@ -460,23 +456,67 @@ def test_batch_matches_each_run_once_and_equals_per_record(monkeypatch):
     ]
     expected = per_record(records, rs, trie)
     calls = count_matcher_calls(monkeypatch)
-    assert outcomes(annotate_batch(records, rs, trie)) == expected
+    assert outcomes(annotate_records(records, rs, trie)) == expected
     assert calls == [a, ["father", "mi"], a]
-    assert outcomes(annotate_batch(records, rs)) == expected
-    assert [r.negation for r in annotate_sentence(a, [ConceptSpan(1, 2), ConceptSpan(3, 4)], rs)] == \
+    assert outcomes(annotate_records(records, rs)) == expected
+    pair = [(a, ConceptSpan(1, 2)), (a, ConceptSpan(3, 4))]
+    assert [r.negation for r in annotate_records(pair, rs)] == \
         [NegationStatus.NEGATED, NegationStatus.POSSIBLE]
 
 
 def test_sentence_with_only_invalid_spans_is_not_matched(monkeypatch):
     rs = RuleSet.from_rules([trigger("no")])
     calls = count_matcher_calls(monkeypatch)
-    results = annotate_sentence(["no", "mi"], [ConceptSpan(2, 3), ConceptSpan(1, 1)], rs, build_trie(rs))
+    tokens = ["no", "mi"]
+    records = [(tokens, ConceptSpan(2, 3)), (list(tokens), ConceptSpan(1, 1))]
+    results = list(annotate_records(records, rs, build_trie(rs)))
     assert calls == []
     assert [str(r) for r in results] == [
         "concept [2, 3) outside token range of length 2",
         "concept [1, 1) outside token range of length 2",
     ]
-    assert annotate_sentence(["no", "mi"], [], rs) == []
+
+
+def test_each_result_is_yielded_before_the_next_record_is_read():
+    rs = RuleSet.from_rules([trigger("no")])
+    a = ["no", "mi", "cva"]
+    records = [
+        (a, ConceptSpan(1, 2)),
+        (list(a), ConceptSpan(5, 6)),  # inside a run of equal tokens
+        (list(a), ConceptSpan(2, 3)),
+        (["mi"], ConceptSpan(0, 1)),
+        (list(a), ConceptSpan(0, 1)),
+    ]
+    pulled = []
+
+    def counted():
+        for record in records:
+            pulled.append(record)
+            yield record
+
+    for trie in (build_trie(rs), None):
+        pulled.clear()
+        for i, _ in enumerate(annotate_records(counted(), rs, trie)):
+            assert len(pulled) == i + 1
+        assert len(pulled) == len(records)
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_results_before_a_failing_read_are_yielded(k):
+    rs = RuleSet.from_rules([trigger("no")])
+    a = ["no", "mi", "cva"]
+    records = [(a, ConceptSpan(1, 2)), (list(a), ConceptSpan(2, 3)), (list(a), ConceptSpan(0, 4))]
+    expected = per_record(records, rs, None)
+
+    def failing():
+        yield from records[:k]
+        raise RuntimeError("unreadable record")
+
+    got = []
+    with pytest.raises(RuntimeError, match="unreadable record"):
+        for result in annotate_records(failing(), rs):
+            got.append(result)
+    assert outcomes(got) == expected[:k]
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -496,10 +536,10 @@ def test_batch_of_repeated_sentences_equals_per_record(seed):
             start = rng.randint(-1, len(tokens))
             end = rng.randint(start, len(tokens) + 1)  # out of range now and then
             records.append((list(tokens), ConceptSpan(start, end)))
-    assert sum(isinstance(r, InvalidSpan) for r in annotate_batch(records, rs)) > 0
+    assert sum(isinstance(r, InvalidSpan) for r in annotate_records(records, rs)) > 0
     expected = per_record(records, rs, trie)
-    assert outcomes(annotate_batch(records, rs, trie)) == expected
-    assert outcomes(annotate_batch(records, rs, None)) == expected
+    assert outcomes(annotate_records(records, rs, trie)) == expected
+    assert outcomes(annotate_records(records, rs, None)) == expected
 
 
 def test_trie_of_another_rule_set_is_rejected(starter_rules):
@@ -507,9 +547,8 @@ def test_trie_of_another_rule_set_is_rejected(starter_rules):
     tokens, concept = ["no", "evidence", "of", "mi"], ConceptSpan(3, 4)
     for call in (
         lambda: annotate(tokens, concept, starter_rules, foreign),
-        lambda: annotate_sentence(tokens, [concept], starter_rules, foreign),
-        lambda: annotate_batch([(tokens, concept)], starter_rules, foreign),
-        lambda: annotate_batch([], starter_rules, foreign),
+        lambda: list(annotate_records([(tokens, concept)], starter_rules, foreign)),
+        lambda: list(annotate_records([], starter_rules, foreign)),
     ):
         with pytest.raises(ValueError, match="different rule set"):
             call()

@@ -28,14 +28,14 @@ def test_trie_structure_for_shared_prefix():
     assert node.terminal_rules == [0]
     deeper = node.children["evidence"].children["of"]
     assert deeper.terminal_rules == [1]
-    assert trie.rule_count == 2
+    assert len(trie.ruleset) == 2
 
 
 def test_trie_empty_ruleset():
     trie = build_trie(RuleSet(rules=()))
     assert trie.root.children == {}
     assert trie.root.wildcard_child is None
-    assert trie.rule_count == 0
+    assert len(trie.ruleset) == 0
 
 
 def test_trie_self_lookup_synthetic_849():
