@@ -19,7 +19,7 @@ from cuescope.bench import run_accuracy_ramp, step_schedule
 from cuescope.corpus import GeneratorConfig, generate_corpus, generate_rules
 
 
-def main() -> int:
+def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--base", type=int, default=409)
     parser.add_argument("--final", type=int, default=849)
@@ -30,7 +30,7 @@ def main() -> int:
     parser.add_argument("--rate", type=float, default=0.35)
     parser.add_argument("--corpus-seed", type=int, default=29)
     parser.add_argument("--rule-seed", type=int, default=7)
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     full = generate_rules(args.rule_seed, args.final)
     records = generate_corpus(

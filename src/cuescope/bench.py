@@ -26,7 +26,9 @@ from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from typing import Iterator, Sequence
 
-from .corpus import ConfigError, CorpusRecord, GeneratorConfig, generate_corpus, generate_rules
+from .corpus import (
+    ConfigError, CorpusRecord, GeneratorConfig, generate_corpus, generate_rules, iter_corpus,
+)
 from .engine import ConceptSpan, annotate_records
 from .evaluate import EvalReport, score
 from .matcher import build_trie
@@ -121,9 +123,7 @@ def ramp_rule_sets(
 
 def _load_bench_corpus(config: BenchConfig, full: RuleSet) -> list[CorpusRecord]:
     if config.corpus_path is not None:
-        from .corpus import read_corpus
-
-        return read_corpus(config.corpus_path)
+        return list(iter_corpus(config.corpus_path))
     # Inject cues from the base rules only: the workload stays fixed over
     # the ramp (as with a natural corpus and a growing lexicon), so per-step
     # time differences come from the matchers, not from extra matches.
@@ -326,6 +326,6 @@ def run_accuracy_ramp(
     steps = []
     for count, ruleset in ramp_rule_sets(full, base, step, ramp_seed):
         trie = build_trie(ruleset) if use_trie else None
-        predictions = list(annotate_records(pairs, ruleset, trie))
-        steps.append(AccuracyStep(rule_count=count, report=score(predictions, records)))
+        predictions = annotate_records(pairs, ruleset, trie)
+        steps.append(AccuracyStep(rule_count=count, report=score(zip(predictions, records))))
     return steps

@@ -15,14 +15,14 @@ import os
 import stat
 import sys
 from json.encoder import encode_basestring
-from typing import IO
+from typing import IO, Iterator
 
 from . import corpus as corpus_mod
 # ``annotate`` is not called here, but perfbench/tracing.py wraps it as
 # ``cli.annotate``, so the name stays.
 from .engine import ContextAnnotation, InvalidSpan, annotate, annotate_records  # noqa: F401
-from .evaluate import LengthMismatch, score
-from .matcher import build_trie
+from .evaluate import score
+from .matcher import RuleTrie, build_trie
 from .rules import (
     Dimension,
     DuplicateRule,
@@ -198,17 +198,25 @@ def cmd_annotate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _gold_pairs(
+    source: IO[str], ruleset: RuleSet, trie: RuleTrie | None
+) -> Iterator[tuple[ContextAnnotation, corpus_mod.CorpusRecord]]:
+    """Each record of ``source`` with its prediction, one record at a time.
+    An invalid concept span is a data error, raised in file order with the
+    malformed lines."""
+    # as in cmd_annotate, ``record`` is the record that ``prediction`` belongs to
+    pairs = (((record := r).tokens, r.concept) for r in corpus_mod.iter_corpus(source))
+    for prediction in annotate_records(pairs, ruleset, trie):
+        if type(prediction) is InvalidSpan:
+            raise corpus_mod.CorpusError(f"line {record.line_no}: {prediction}")
+        yield prediction, record
+
+
 def cmd_evaluate(args: argparse.Namespace) -> int:
     ruleset = _load_rules(args.rules)
     trie = build_trie(ruleset) if args.engine == "trie" else None
     with _open_in(args.gold) as source:
-        records = corpus_mod.read_corpus(source)
-    pairs = ((record.tokens, record.concept) for record in records)
-    predictions = list(annotate_records(pairs, ruleset, trie))
-    for record, prediction in zip(records, predictions):
-        if type(prediction) is InvalidSpan:
-            raise corpus_mod.CorpusError(f"line {record.line_no}: {prediction}")
-    report = score(predictions, records)
+        report = score(_gold_pairs(source, ruleset, trie))
     sys.stdout.write(report.render_csv() if args.format == "csv" else report.render_text())
     return EXIT_OK
 
@@ -296,7 +304,7 @@ def main(argv: list[str] | None = None) -> int:
         # at the null device so that its flush at exit cannot fail again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_BROKEN_PIPE
-    except (corpus_mod.CorpusError, corpus_mod.ConfigError, LengthMismatch, OSError) as err:
+    except (corpus_mod.CorpusError, corpus_mod.ConfigError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_DATA_ERROR
 

@@ -1,5 +1,5 @@
-"""Tokenization, the JSON-lines corpus format, and seeded synthetic
-corpus/rule generators.
+"""The JSON-lines corpus format, and seeded synthetic corpus/rule
+generators.
 
 Corpus files hold one JSON object per line with keys:
 
@@ -18,7 +18,6 @@ from __future__ import annotations
 import json
 import os
 import random
-import string
 from dataclasses import dataclass, field
 from itertools import repeat
 from json.encoder import encode_basestring
@@ -30,12 +29,21 @@ from .rules import (
     WILDCARD,
     ContextRule,
     CueType,
+    Dimension,
     Direction,
+    ExperiencerStatus,
+    NegationStatus,
     RuleSet,
     RuleValue,
+    TemporalityStatus,
 )
 
-_PUNCT = frozenset(string.punctuation)
+#: Allowed gold values per dimension name, as plain strings.
+DIMENSION_VALUES = {
+    Dimension.NEGATION.value: {v.value for v in NegationStatus},
+    Dimension.EXPERIENCER.value: {v.value for v in ExperiencerStatus},
+    Dimension.TEMPORALITY.value: {v.value for v in TemporalityStatus},
+}
 
 #: Vocabulary rule phrases are drawn from.  Disjoint from the filler
 #: vocabulary below, so a corpus with injection rate 0 matches nothing;
@@ -54,32 +62,6 @@ class CorpusError(ValueError):
 
 class ConfigError(ValueError):
     """Generator or benchmark configuration that cannot be satisfied."""
-
-
-def tokenize(text: str) -> list[str]:
-    """Lowercase and split on whitespace, detaching leading/trailing
-    punctuation of each chunk as separate tokens.
-
-    >>> tokenize("No atrial septal defect is found.")
-    ['no', 'atrial', 'septal', 'defect', 'is', 'found', '.']
-    >>> tokenize("rule-out, MI.")
-    ['rule-out', ',', 'mi', '.']
-    """
-    tokens: list[str] = []
-    for chunk in text.split():
-        word = chunk.lower()
-        i, j = 0, len(word)
-        while i < j and word[i] in _PUNCT:
-            tokens.append(word[i])
-            i += 1
-        trailing: list[str] = []
-        while j > i and word[j - 1] in _PUNCT:
-            trailing.append(word[j - 1])
-            j -= 1
-        if j > i:
-            tokens.append(word[i:j])
-        tokens.extend(reversed(trailing))
-    return tokens
 
 
 @dataclass(frozen=True)
@@ -122,7 +104,7 @@ def _record_from_obj(obj: object, line_no: int, line: str) -> CorpusRecord:
         if type(gold) is not dict:
             raise CorpusError(f"line {line_no}: 'gold' must be an object")
         for dim, value in gold.items():
-            allowed = engine.DIMENSION_VALUES.get(dim)
+            allowed = DIMENSION_VALUES.get(dim)
             if allowed is None:
                 raise CorpusError(f"line {line_no}: unknown gold dimension {dim!r}")
             if type(value) is not str or value not in allowed:
@@ -175,11 +157,6 @@ def _iter_lines(lines: Iterable[str | bytes]) -> Iterator[CorpusRecord]:
             # an integer past the conversion digit limit, or nesting too deep
             raise CorpusError(f"line {line_no}: invalid JSON ({err})") from None
         yield _record_from_obj(obj, line_no, line)
-
-
-def read_corpus(source: str | os.PathLike | IO | Iterable[str | bytes]) -> list[CorpusRecord]:
-    """:func:`iter_corpus` as a list."""
-    return list(iter_corpus(source))
 
 
 _encode = json.JSONEncoder(ensure_ascii=False, separators=(",", ":")).encode

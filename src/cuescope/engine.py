@@ -45,27 +45,12 @@ from .matcher import CueMatch, RuleTrie, find_matches_naive, find_matches_trie
 from .rules import (
     CueType,
     Dimension,
-    Direction,
     ExperiencerStatus,
     NegationStatus,
     RuleEntry,
     RuleSet,
     TemporalityStatus,
 )
-
-DEFAULTS = {
-    Dimension.NEGATION: NegationStatus.AFFIRMED,
-    Dimension.EXPERIENCER: ExperiencerStatus.PATIENT,
-    Dimension.TEMPORALITY: TemporalityStatus.RECENT,
-}
-
-#: Allowed annotation/gold values per dimension name, as plain strings.
-DIMENSION_VALUES = {
-    Dimension.NEGATION.value: {v.value for v in NegationStatus},
-    Dimension.EXPERIENCER.value: {v.value for v in ExperiencerStatus},
-    Dimension.TEMPORALITY.value: {v.value for v in TemporalityStatus},
-}
-
 
 class InvalidSpan(ValueError):
     """A concept span outside the sentence's token range."""
@@ -81,7 +66,9 @@ class ConceptSpan:
 
 class Scope(NamedTuple):
     """Token interval a surviving trigger affects, after windowing and
-    truncation.  ``extends`` records which side of the cue it lies on.
+    truncation.  It lies on its cue's forward side exactly when
+    ``start >= cue.end``: a forward scope starts at the cue's end, and a
+    backward one ends at the cue's start.
 
     A tuple, as :class:`CueMatch` is: immutable and hashable, equal to the
     plain tuple of its fields, and ordered as that tuple is.
@@ -92,7 +79,6 @@ class Scope(NamedTuple):
     value: NegationStatus | ExperiencerStatus | TemporalityStatus
     start: int
     end: int
-    extends: Direction  # FORWARD or BACKWARD only
 
 
 @dataclass(frozen=True)
@@ -108,17 +94,10 @@ class ContextAnnotation:
     temporality: TemporalityStatus = TemporalityStatus.RECENT
     evidence: dict[Dimension, CueMatch] = field(default_factory=dict)
 
-    def value(self, dimension: Dimension):
-        if dimension is Dimension.NEGATION:
-            return self.negation
-        if dimension is Dimension.EXPERIENCER:
-            return self.experiencer
-        return self.temporality
-
 
 _PSEUDO, _TRIGGER = CueType.PSEUDO, CueType.TRIGGER
-_FORWARD, _BACKWARD = Direction.FORWARD, Direction.BACKWARD
-_DEFAULT_VALUES = tuple(DEFAULTS[d] for d in Dimension)
+#: The value of each dimension, in ``Dimension`` order, that no cue set.
+_DEFAULT_VALUES = (NegationStatus.AFFIRMED, ExperiencerStatus.PATIENT, TemporalityStatus.RECENT)
 #: Builds a :class:`Scope` without the Python-level ``__new__`` of a NamedTuple.
 _new = tuple.__new__
 
@@ -175,7 +154,7 @@ def resolve_scopes(matches: Sequence[CueMatch], ruleset: RuleSet, sentence_len: 
                 if stop_dim == dim and start < stop < end:
                     end = stop
             if start < end:
-                scopes.append(_new(Scope, (m, dimension, value, start, end, _FORWARD)))
+                scopes.append(_new(Scope, (m, dimension, value, start, end)))
         if backward:
             end = m.start
             start = end - window
@@ -185,7 +164,7 @@ def resolve_scopes(matches: Sequence[CueMatch], ruleset: RuleSet, sentence_len: 
                 if stop_dim == dim and start < stop < end:
                     start = stop
             if start < end:
-                scopes.append(_new(Scope, (m, dimension, value, start, end, _BACKWARD)))
+                scopes.append(_new(Scope, (m, dimension, value, start, end)))
     return scopes
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import io
 import csv
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterable
 
 from .corpus import CorpusRecord
 from .engine import ContextAnnotation
@@ -22,10 +22,6 @@ SCORED_CLASSES = {
     "possible": "negation",
     "other": "experiencer",
 }
-
-
-class LengthMismatch(ValueError):
-    """Predictions and gold records are not aligned."""
 
 
 @dataclass
@@ -78,18 +74,15 @@ class EvalReport:
         return out.getvalue()
 
 
-def score(predictions: Sequence[ContextAnnotation], gold: Sequence[CorpusRecord]) -> EvalReport:
-    """Accumulate tp/fp/fn per scored class over index-aligned lists."""
-    if len(predictions) != len(gold):
-        raise LengthMismatch(
-            f"{len(predictions)} predictions vs {len(gold)} gold records"
-        )
+def score(pairs: Iterable[tuple[ContextAnnotation, CorpusRecord]]) -> EvalReport:
+    """Accumulate tp/fp/fn per scored class over ``(prediction, record)``
+    pairs, counting each pair as it arrives."""
     report = EvalReport(
         classes={name: ClassMetrics() for name in SCORED_CLASSES},
-        records=len(gold),
         skipped={name: 0 for name in SCORED_CLASSES},
     )
-    for prediction, record in zip(predictions, gold):
+    for prediction, record in pairs:
+        report.records += 1
         predicted = {
             "negation": prediction.negation.value,
             "experiencer": prediction.experiencer.value,

@@ -274,12 +274,14 @@ def parse_rule_line(line: str, rule_id: int = 0, line_no: int | None = None) -> 
     value = _VALUES.get(cols[3].strip().lower())
     if value is None:
         raise MalformedRule(f"unknown value {cols[3]!r}", line_no=line_no, column=4)
-    try:
-        window = int(cols[4])
-    except ValueError:
+    window_text = cols[4].strip()
+    # int() would also take '+3', '1_0' and non-ASCII digits
+    digits = window_text[1:] if window_text.startswith("-") else window_text
+    if not (digits.isascii() and digits.isdigit()):
         raise MalformedRule(
             f"window {cols[4]!r} is not an integer", line_no=line_no, column=5
-        ) from None
+        )
+    window = int(window_text)
     if window < 0:
         raise MalformedRule(f"window {window} is negative", line_no=line_no, column=5)
     try:

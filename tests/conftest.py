@@ -2,7 +2,7 @@ from pathlib import Path
 
 import pytest
 
-from cuescope.corpus import read_corpus
+from cuescope.corpus import iter_corpus
 from cuescope.rules import load_rules
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
@@ -25,4 +25,4 @@ def hand_gold_path() -> Path:
 
 @pytest.fixture(scope="session")
 def hand_gold(hand_gold_path):
-    return read_corpus(hand_gold_path)
+    return list(iter_corpus(hand_gold_path))

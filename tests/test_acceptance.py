@@ -15,7 +15,7 @@ from cuescope.corpus import (
     GeneratorConfig,
     generate_corpus,
     generate_rules,
-    read_corpus,
+    iter_corpus,
     write_corpus,
 )
 from cuescope.engine import (
@@ -265,7 +265,7 @@ def test_c6_accuracy_ramp(starter_rules, hand_gold):
     # fixed hand gold, rules halved: F strictly below 1.0 with frozen counts
     half = RuleSet.from_rules(starter_rules.rules[: len(starter_rules) // 2])
     predictions = [annotate(r.tokens, r.concept, half) for r in hand_gold]
-    report = score(predictions, hand_gold)
+    report = score(zip(predictions, hand_gold))
     negated = report.classes["negated"]
     drops = (
         negated.f < 1.0
@@ -317,11 +317,11 @@ def test_c7_format_round_trips(hand_gold_path):
         return out.getvalue()
 
     hand_text = hand_gold_path.read_text(encoding="utf-8")
-    corpus_ok = jsonl(read_corpus(io.StringIO(hand_text))) == hand_text
+    corpus_ok = jsonl(iter_corpus(io.StringIO(hand_text))) == hand_text
     generated = generate_corpus(
         GeneratorConfig(seed=8, sentence_count=40), generate_rules(8, 60)
     )
-    corpus_ok = corpus_ok and read_corpus(io.StringIO(jsonl(generated))) == generated
+    corpus_ok = corpus_ok and list(iter_corpus(io.StringIO(jsonl(generated)))) == generated
     _criterion(
         "C7 format-round-trips", fields_ok and serialization_ok and corpus_ok,
         "rule lines bit-exact modulo both->bidirectional; corpus JSONL fixed point",

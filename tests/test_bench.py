@@ -1,4 +1,6 @@
 import math
+import runpy
+from pathlib import Path
 
 import pytest
 
@@ -168,3 +170,14 @@ def test_accuracy_ramp_reaches_one_on_self_consistent_gold():
     f_series = [s.report.classes["negated"].f for s in steps]
     assert f_series[-1] == 1.0
     assert all(b >= a - 1e-12 for a, b in zip(f_series, f_series[1:]))
+
+
+def test_accuracy_ramp_script_reaches_one(capsys):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "run_accuracy_ramp.py"
+    main = runpy.run_path(str(script))["main"]  # loaded, not run as __main__
+    argv = ["--base", "5", "--final", "15", "--step", "5", "--repeats", "2", "--sentences", "20"]
+    assert main(argv) == 0
+    # the last row: rule count, then "mean (sd)" for negated, possible, other
+    last = capsys.readouterr().out.splitlines()[-1].split()
+    assert last[0] == "15"
+    assert last[1::2] == ["1.0000"] * 3

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from cuescope.cli import main
-from cuescope.corpus import CorpusRecord, dumps_record, read_corpus, write_corpus
+from cuescope.corpus import CorpusRecord, dumps_record, iter_corpus, write_corpus
 from cuescope.engine import ConceptSpan, InvalidSpan, annotate
 from cuescope.matcher import build_trie
 
@@ -231,7 +231,7 @@ def test_annotate_repeated_sentences_as_per_record_annotate(tmp_path, starter_ru
 
     trie = build_trie(starter_rules)
     expected, errors, dimensions = [], [], set()
-    for index, record in enumerate(read_corpus(corpus)):
+    for index, record in enumerate(iter_corpus(corpus)):
         try:
             result = annotate(record.tokens, record.concept, starter_rules, trie)
             dimensions.update(result.evidence)
@@ -450,6 +450,17 @@ def test_evaluate_invalid_span_is_data_error(tmp_path, paper_rules):
         {"tokens": ["a"], "concept": [4, 5], "gold": {"negation": "negated"}},
     ])
     assert run_cli("evaluate", "--rules", str(paper_rules), "--gold", str(gold)) == 3
+
+
+def test_evaluate_reports_the_first_bad_line_in_file_order(tmp_path, paper_rules, capsys):
+    # the gold file is read one record at a time, so line 1's invalid span
+    # is met before line 2's bad JSON is read
+    gold = tmp_path / "gold.jsonl"
+    gold.write_text('{"tokens": ["a"], "concept": [4, 5]}\n{not json\n', encoding="utf-8")
+    assert run_cli("evaluate", "--rules", str(paper_rules), "--gold", str(gold)) == 3
+    assert capsys.readouterr().err == (
+        "error: line 1: concept [4, 5) outside token range of length 1\n"
+    )
 
 
 # --- bench ---

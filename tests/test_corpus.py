@@ -4,6 +4,7 @@ import json
 import pytest
 
 from cuescope.corpus import (
+    DIMENSION_VALUES,
     ConfigError,
     CorpusError,
     CorpusRecord,
@@ -11,36 +12,10 @@ from cuescope.corpus import (
     generate_corpus,
     generate_rules,
     iter_corpus,
-    read_corpus,
-    tokenize,
     write_corpus,
 )
-from cuescope.engine import ConceptSpan, DIMENSION_VALUES
+from cuescope.engine import ConceptSpan
 from cuescope.rules import WILDCARD, CueType, RuleValue, load_rules, serialize_rules
-
-
-# --- tokenize ---
-
-def test_tokenize_paper_sentence():
-    assert tokenize("No atrial septal defect is found") == \
-        ["no", "atrial", "septal", "defect", "is", "found"]
-
-
-def test_tokenize_empty():
-    assert tokenize("") == []
-    assert tokenize("   \n\t ") == []
-
-
-def test_tokenize_detaches_punctuation_keeps_hyphens():
-    assert tokenize("rule-out, MI.") == ["rule-out", ",", "mi", "."]
-
-
-def test_tokenize_nested_punctuation():
-    assert tokenize("(stable) --") == ["(", "stable", ")", "-", "-"]
-
-
-def test_tokenize_never_produces_wildcard():
-    assert WILDCARD not in tokenize(r"match \w+ here")
 
 
 # --- corpus file format ---
@@ -59,10 +34,10 @@ def test_corpus_round_trip(tmp_path):
     path = tmp_path / "corpus.jsonl"
     with open(path, "w", encoding="utf-8") as fh:
         write_corpus(records, fh)
-    assert read_corpus(path) == records
+    assert list(iter_corpus(path)) == records
     # fixed point on the serialized text as well
     text = jsonl(records)
-    assert jsonl(read_corpus(io.StringIO(text))) == text
+    assert jsonl(iter_corpus(io.StringIO(text))) == text
 
 
 def test_write_corpus_is_compact_json_per_record():
@@ -98,7 +73,7 @@ def test_write_corpus_is_compact_json_per_record():
 )
 def test_read_corpus_rejects_bad_lines(line, fragment):
     with pytest.raises(CorpusError) as err:
-        read_corpus(io.StringIO(line + "\n"))
+        list(iter_corpus(io.StringIO(line + "\n")))
     assert fragment in str(err.value)
 
 
@@ -113,12 +88,12 @@ def test_read_corpus_rejects_non_utf8_with_its_line(tmp_path):
         records.extend(iter_corpus(path))
     assert len(records) == 400
     with pytest.raises(CorpusError, match="line 2: not valid UTF-8"):
-        read_corpus([good, b"\xff\n"])
+        list(iter_corpus([good, b"\xff\n"]))
 
 
 def test_read_corpus_allows_out_of_range_concept():
     # span validity is a per-record engine concern, not a load error
-    records = read_corpus(io.StringIO('{"tokens": ["a"], "concept": [0, 9]}\n'))
+    records = list(iter_corpus(io.StringIO('{"tokens": ["a"], "concept": [0, 9]}\n')))
     assert records[0].concept == ConceptSpan(0, 9)
 
 

@@ -255,7 +255,7 @@ def reference_form(annotation) -> dict:
     """An annotation in the form :func:`reference_annotate` returns."""
     got = {}
     for dimension in Dimension:
-        value = annotation.value(dimension)
+        value = getattr(annotation, dimension.value)
         if dimension in annotation.evidence:
             cue = annotation.evidence[dimension]
             got[dimension.value] = (value.value, (cue.start, cue.end))
@@ -335,7 +335,8 @@ def test_adding_single_token_termination_never_enlarges_scopes(ruleset, tokens, 
     # longest-at-start, so truncation is the only effect
     def scope_map(rs):
         scopes = resolve_scopes(find_matches_naive(rs, tokens), rs, len(tokens))
-        return {(s.cue, s.dimension, s.extends): (s.start, s.end) for s in scopes}
+        # a scope is forward exactly when it starts at or after its cue's end
+        return {(s.cue, s.dimension, s.start >= s.cue.end): (s.start, s.end) for s in scopes}
 
     before = scope_map(ruleset)
     term = ContextRule(len(ruleset), (term_word,), direction,

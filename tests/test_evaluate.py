@@ -9,7 +9,7 @@ from cuescope.engine import (
     NegationStatus,
     annotate,
 )
-from cuescope.evaluate import ClassMetrics, LengthMismatch, score
+from cuescope.evaluate import ClassMetrics, score
 from cuescope.rules import RuleSet
 
 
@@ -46,7 +46,7 @@ def test_zero_denominator_convention():
 def test_score_counts_and_classes():
     predictions = [ann("negated"), ann("negated"), ann("negated"), ann("affirmed")]
     gold = [rec("negated"), rec("negated"), rec("affirmed"), rec("negated")]
-    report = score(predictions, gold)
+    report = score(zip(predictions, gold))
     negated = report.classes["negated"]
     assert (negated.tp, negated.fp, negated.fn) == (2, 1, 1)
     assert negated.f == pytest.approx(2 / 3)
@@ -57,7 +57,7 @@ def test_perfect_predictions_give_f_one_per_class():
     predictions = [ann("negated"), ann("possible"), ann(experiencer="other"), ann()]
     gold = [rec("negated"), rec("possible"), rec(experiencer="other"),
             rec("affirmed", "patient")]
-    report = score(predictions, gold)
+    report = score(zip(predictions, gold))
     for name in ("negated", "possible", "other"):
         assert report.classes[name].f == 1.0
 
@@ -66,7 +66,7 @@ def test_default_classes_never_scored():
     # all-affirmed, all-patient: no tp anywhere, and nothing counts as fp
     predictions = [ann(), ann()]
     gold = [rec("affirmed", "patient"), rec("affirmed", "patient")]
-    report = score(predictions, gold)
+    report = score(zip(predictions, gold))
     for metrics in report.classes.values():
         assert (metrics.tp, metrics.fp, metrics.fn) == (0, 0, 0)
 
@@ -74,31 +74,30 @@ def test_default_classes_never_scored():
 def test_missing_gold_dimension_is_skipped():
     predictions = [ann("negated"), ann("negated")]
     gold = [rec("negated"), rec(experiencer="other")]
-    report = score(predictions, gold)
+    report = score(zip(predictions, gold))
     assert report.skipped["negated"] == 1
     assert report.skipped["possible"] == 1
     assert report.skipped["other"] == 1
     assert report.classes["negated"].tp == 1
 
 
-def test_length_mismatch():
-    with pytest.raises(LengthMismatch):
-        score([ann()], [])
-
-
 def test_score_permutation_invariant():
     predictions = [ann("negated"), ann("possible"), ann(), ann("negated")]
     gold = [rec("negated"), rec("negated"), rec("possible"), rec("affirmed")]
-    direct = score(predictions, gold)
+    direct = score(zip(predictions, gold))
     order = [2, 0, 3, 1]
-    shuffled = score([predictions[i] for i in order], [gold[i] for i in order])
-    for name in direct.classes:
-        assert (direct.classes[name].tp, direct.classes[name].fp, direct.classes[name].fn) == \
-            (shuffled.classes[name].tp, shuffled.classes[name].fp, shuffled.classes[name].fn)
+    shuffled = score(zip([predictions[i] for i in order], [gold[i] for i in order]))
+    # a one-shot generator, read once as the CLI's stream is
+    streamed = score((predictions[i], gold[i]) for i in order)
+    for report in (shuffled, streamed):
+        assert report.records == direct.records == 4
+        for name in direct.classes:
+            assert (direct.classes[name].tp, direct.classes[name].fp, direct.classes[name].fn) == \
+                (report.classes[name].tp, report.classes[name].fp, report.classes[name].fn)
 
 
 def test_render_text_and_csv_shape():
-    report = score([ann("negated")], [rec("negated")])
+    report = score([(ann("negated"), rec("negated"))])
     text = report.render_text()
     assert "records=1" in text
     assert "negated.f=1.000000" in text
@@ -121,7 +120,7 @@ def _predict(ruleset, records):
 
 
 def test_hand_gold_scores_perfectly(starter_rules, hand_gold):
-    report = score(_predict(starter_rules, hand_gold), hand_gold)
+    report = score(zip(_predict(starter_rules, hand_gold), hand_gold))
     assert report.records == len(hand_gold) >= 50
     for name in ("negated", "possible", "other"):
         metrics = report.classes[name]
@@ -132,7 +131,7 @@ def test_hand_gold_scores_perfectly(starter_rules, hand_gold):
 def test_hand_gold_f_drops_with_half_the_rules(starter_rules, hand_gold):
     half = RuleSet.from_rules(starter_rules.rules[: len(starter_rules) // 2])
     predictions = _predict(half, hand_gold)
-    report = score(predictions, hand_gold)
+    report = score(zip(predictions, hand_gold))
 
     # independent recount with plain loops
     recount = {name: [0, 0, 0] for name in ("negated", "possible", "other")}

@@ -58,6 +58,9 @@ def test_parse_wrong_column_count():
         ("no\tforward\ttrigger\tmaybe\t5", 4),
         ("no\tforward\ttrigger\tnegated\tfive", 5),
         ("no\tforward\ttrigger\tnegated\t-1", 5),
+        ("no\tforward\ttrigger\tnegated\t1_0", 5),
+        ("no\tforward\ttrigger\tnegated\t+3", 5),
+        ("no\tforward\ttrigger\tnegated\t\u0665", 5),
         ("a  b\tforward\ttrigger\tnegated\t5", 1),
         ("a\u00a0b\tforward\ttrigger\tnegated\t5", 1),
     ],
