@@ -73,6 +73,8 @@ class BenchConfig:
         unknown = set(self.engines) - set(ENGINES)
         if unknown or not self.engines:
             raise ConfigError(f"engines must be a non-empty subset of {ENGINES}")
+        if len(set(self.engines)) < len(self.engines):
+            raise ConfigError(f"engines must name each engine once, got {self.engines}")
 
 
 @dataclass(frozen=True)
@@ -164,27 +166,19 @@ def run_ramp(config: BenchConfig) -> BenchReport:
             list(annotate_records(pairs, ruleset, trie))
             times_ms.append((time.perf_counter() - t0) * 1000.0)
 
-    by_cell: dict[tuple[int, str], BenchRow] = {}
-    for count, engine_name, _, _, build_ms, times_ms in cells:
-        mean = statistics.fmean(times_ms)
-        stddev = statistics.stdev(times_ms) if len(times_ms) > 1 else 0.0
-        by_cell[(count, engine_name)] = BenchRow(
-            rule_count=count, engine=engine_name,
-            mean_ms=mean, stddev_ms=stddev, build_ms=build_ms,
-        )
+    means = {(count, name): statistics.fmean(times_ms) for count, name, *_, times_ms in cells}
     rows: list[BenchRow] = []
-    for count in step_schedule(config.base_rule_count, config.final_rule_count, config.step):
-        naive_row = by_cell.get((count, "naive"))
-        for engine_name in config.engines:
-            row = by_cell[(count, engine_name)]
-            if engine_name == "trie" and naive_row is not None:
-                row = BenchRow(
-                    rule_count=row.rule_count, engine=row.engine,
-                    mean_ms=row.mean_ms, stddev_ms=row.stddev_ms,
-                    build_ms=row.build_ms,
-                    speedup_vs_naive=naive_row.mean_ms / row.mean_ms,
-                )
-            rows.append(row)
+    for count, engine_name, _, _, build_ms, times_ms in cells:
+        mean = means[count, engine_name]
+        naive_mean = means.get((count, "naive"))
+        rows.append(BenchRow(
+            rule_count=count, engine=engine_name, mean_ms=mean,
+            stddev_ms=statistics.stdev(times_ms) if len(times_ms) > 1 else 0.0,
+            build_ms=build_ms,
+            speedup_vs_naive=(
+                naive_mean / mean if engine_name == "trie" and naive_mean is not None else None
+            ),
+        ))
     environment = (
         f"{platform.node()} {platform.system()} {platform.release()} "
         f"Python {platform.python_version()}"
@@ -269,14 +263,12 @@ def check_report(report: BenchReport) -> list[str]:
         flatness = max(trie.values()) / min(trie.values())
         if flatness > TRIE_FLATNESS_MAX:
             failures.append(f"trie max/min over ramp = {flatness:.2f} > {TRIE_FLATNESS_MAX}")
-    if naive and trie:
-        last = max(trie)
-        if last in naive:
-            speedup = naive[last] / trie[last]
-            if speedup < FINAL_SPEEDUP_MIN:
-                failures.append(
-                    f"trie speedup at {last} rules = {speedup:.1f}x < {FINAL_SPEEDUP_MIN}x"
-                )
+    last = next((row for row in reversed(report.rows) if row.engine == "trie"), None)
+    speedup = last.speedup_vs_naive if last is not None else None
+    if speedup is not None and speedup < FINAL_SPEEDUP_MIN:
+        failures.append(
+            f"trie speedup at {last.rule_count} rules = {speedup:.1f}x < {FINAL_SPEEDUP_MIN}x"
+        )
     return failures
 
 
@@ -319,13 +311,11 @@ def run_accuracy_ramp(
     base: int,
     step: int,
     ramp_seed: int,
-    use_trie: bool = True,
 ) -> list[AccuracyStep]:
     """Score each ramp step's predictions against the records' gold labels."""
     pairs = [(r.tokens, r.concept) for r in records]
     steps = []
     for count, ruleset in ramp_rule_sets(full, base, step, ramp_seed):
-        trie = build_trie(ruleset) if use_trie else None
-        predictions = annotate_records(pairs, ruleset, trie)
+        predictions = annotate_records(pairs, ruleset, build_trie(ruleset))
         steps.append(AccuracyStep(rule_count=count, report=score(zip(predictions, records))))
     return steps

@@ -4,6 +4,10 @@ Subcommands: annotate, evaluate, bench, rules-validate, generate.
 Data goes to stdout, diagnostics to stderr.  Exit codes: 0 ok,
 1 assertion failure (--check/--strict), 2 rule errors (an unreadable
 rule file too), 3 data errors, 141 the reader of the output went away.
+
+``annotate`` and ``evaluate`` read their corpus through one record loop,
+which pairs each record with its result as it streams; ``annotate``
+writes each pair as ``corpus.annotated_line`` forms it.
 """
 
 from __future__ import annotations
@@ -14,7 +18,6 @@ import io
 import os
 import stat
 import sys
-from json.encoder import encode_basestring
 from typing import IO, Iterator
 
 from . import corpus as corpus_mod
@@ -23,17 +26,7 @@ from . import corpus as corpus_mod
 from .engine import ContextAnnotation, InvalidSpan, annotate, annotate_records  # noqa: F401
 from .evaluate import score
 from .matcher import RuleTrie, build_trie
-from .rules import (
-    Dimension,
-    DuplicateRule,
-    ExperiencerStatus,
-    MalformedRule,
-    NegationStatus,
-    RuleSet,
-    TemporalityStatus,
-    load_rules,
-    serialize_rules,
-)
+from .rules import DuplicateRule, MalformedRule, RuleSet, load_rules, serialize_rules
 
 EXIT_OK = 0
 EXIT_ASSERTION = 1
@@ -142,32 +135,16 @@ def _writes_to_input(source: IO[str], output: str) -> bool:
     return stat.S_ISREG(read.st_mode) and os.path.samestat(read, written)
 
 
-#: The parts of an output line that depend only on an annotation's values.
-_NEGATION = {v: f',"pred":{{"negation":"{v.value}"' for v in NegationStatus}
-_EXPERIENCER = {v: f',"experiencer":"{v.value}"' for v in ExperiencerStatus}
-_TEMPORALITY = {v: f',"temporality":"{v.value}","evidence":{{' for v in TemporalityStatus}
-_EVIDENCE = {d: f'"{d.value}":[' for d in Dimension}
-#: ``pred`` of an annotation with no evidence, which holds every default.
-_NO_EVIDENCE = (
-    _NEGATION[NegationStatus.AFFIRMED] + _EXPERIENCER[ExperiencerStatus.PATIENT]
-    + _TEMPORALITY[TemporalityStatus.RECENT] + "}}}\n"
-)
-
-
-def _output_line(record: corpus_mod.CorpusRecord, result: ContextAnnotation | InvalidSpan) -> str:
-    """``record`` as ``write_corpus`` writes it, with its ``pred`` (or
-    ``error``) added as the last key."""
-    head = corpus_mod.record_head(record)
-    if type(result) is InvalidSpan:
-        return f'{head},"error":{encode_basestring(str(result))}}}\n'
-    evidence = result.evidence
-    if not evidence:
-        return head + _NO_EVIDENCE
-    cues = ",".join(f"{_EVIDENCE[d]}{cue.start},{cue.end}]" for d, cue in evidence.items())
-    return (
-        f"{head}{_NEGATION[result.negation]}{_EXPERIENCER[result.experiencer]}"
-        f"{_TEMPORALITY[result.temporality]}{cues}}}}}}}\n"
-    )
+def _annotated(
+    source: IO[str], ruleset: RuleSet, trie: RuleTrie | None
+) -> Iterator[tuple[corpus_mod.CorpusRecord, ContextAnnotation | InvalidSpan]]:
+    """Each record of ``source`` with its result, one record at a time; a
+    malformed line raises once the records before it are yielded."""
+    # annotate_records yields each result before it reads the next pair,
+    # so ``record`` is the record that ``result`` belongs to
+    pairs = (((record := r).tokens, r.concept) for r in corpus_mod.iter_corpus(source))
+    for result in annotate_records(pairs, ruleset, trie):
+        yield record, result
 
 
 def cmd_annotate(args: argparse.Namespace) -> int:
@@ -182,16 +159,12 @@ def cmd_annotate(args: argparse.Namespace) -> int:
                 f"--input and --output are the same file: {args.input} and {args.output}"
             )
         with _open_out(args.output) as out:
-            write = out.write
-            # annotate_records yields each result before it reads the next
-            # pair, so ``record`` is the record that ``result`` belongs to;
-            # a malformed line raises once the lines before it are written
-            pairs = (((record := r).tokens, r.concept) for r in corpus_mod.iter_corpus(source))
-            for result in annotate_records(pairs, ruleset, trie):
+            write, annotated_line = out.write, corpus_mod.annotated_line
+            for record, result in _annotated(source, ruleset, trie):
                 if type(result) is InvalidSpan:
                     errors += 1
                     print(f"line {record.line_no}: {result}", file=sys.stderr)
-                write(_output_line(record, result))
+                write(annotated_line(record, result))
     if errors and args.strict:
         print(f"{errors} record(s) failed under --strict", file=sys.stderr)
         return EXIT_ASSERTION
@@ -204,9 +177,7 @@ def _gold_pairs(
     """Each record of ``source`` with its prediction, one record at a time.
     An invalid concept span is a data error, raised in file order with the
     malformed lines."""
-    # as in cmd_annotate, ``record`` is the record that ``prediction`` belongs to
-    pairs = (((record := r).tokens, r.concept) for r in corpus_mod.iter_corpus(source))
-    for prediction in annotate_records(pairs, ruleset, trie):
+    for record, prediction in _annotated(source, ruleset, trie):
         if type(prediction) is InvalidSpan:
             raise corpus_mod.CorpusError(f"line {record.line_no}: {prediction}")
         yield prediction, record

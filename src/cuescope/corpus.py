@@ -8,6 +8,13 @@ Corpus files hold one JSON object per line with keys:
 * ``"gold"`` — optional ``{"negation"|"experiencer"|"temporality": value}``
   with any subset of the three dimensions present.
 
+:func:`write_corpus` writes records in this form, and
+:func:`annotated_line` writes an annotated record: the same line with a
+``"pred"`` object (``negation``, ``experiencer``, ``temporality`` and
+``evidence``, the ``[start, end)`` of the cue that set each non-default
+value) or, for an invalid concept span, an ``"error"`` string as its
+last key.  Both write compact JSON with non-ASCII text unescaped.
+
 The generators are deterministic for a given seed, and gold labels are
 computed by the naive engine so generated corpora never depend on the
 trie they are used to test.
@@ -24,7 +31,7 @@ from json.encoder import encode_basestring
 from typing import IO, Iterable, Iterator, Sequence
 
 from . import engine
-from .engine import ConceptSpan
+from .engine import ConceptSpan, ContextAnnotation, InvalidSpan
 from .rules import (
     WILDCARD,
     ContextRule,
@@ -159,17 +166,7 @@ def _iter_lines(lines: Iterable[str | bytes]) -> Iterator[CorpusRecord]:
         yield _record_from_obj(obj, line_no, line)
 
 
-_encode = json.JSONEncoder(ensure_ascii=False, separators=(",", ":")).encode
-
-
-def dumps_record(obj: dict) -> str:
-    """Serialize a dict the way corpus files write their values; the
-    strings in it are written as :func:`json.encoder.encode_basestring`
-    writes them."""
-    return _encode(obj)
-
-
-def record_head(record: CorpusRecord) -> str:
+def _record_head(record: CorpusRecord) -> str:
     """``record``'s JSON line up to its closing brace, so that a writer can
     add keys: ``{"tokens":[...],"concept":[start,end]``, then ``,"gold":{...}``
     if the record has gold labels."""
@@ -179,15 +176,60 @@ def record_head(record: CorpusRecord) -> str:
         f'"concept":[{concept.start},{concept.end}]'
     )
     if record.gold is not None:
-        head += ',"gold":' + dumps_record(record.gold)
+        gold = ",".join(
+            f"{encode_basestring(k)}:{encode_basestring(v)}" for k, v in record.gold.items()
+        )
+        head += f',"gold":{{{gold}}}'
     return head
 
 
 def write_corpus(records: Iterable[CorpusRecord], stream: IO[str]) -> None:
-    """Write records as JSON lines, the form :func:`iter_corpus` reads."""
+    """Write records as JSON lines, the form :func:`iter_corpus` reads.
+
+    >>> import sys
+    >>> write_corpus([CorpusRecord(["no", "fever"], ConceptSpan(1, 2), {"negation": "negated"})],
+    ...              sys.stdout)
+    {"tokens":["no","fever"],"concept":[1,2],"gold":{"negation":"negated"}}
+    """
     write = stream.write
     for record in records:
-        write(record_head(record) + "}\n")
+        write(_record_head(record) + "}\n")
+
+
+#: The parts of an annotated line that depend only on an annotation's values.
+_NEGATION = {v: f',"pred":{{"negation":"{v.value}"' for v in NegationStatus}
+_EXPERIENCER = {v: f',"experiencer":"{v.value}"' for v in ExperiencerStatus}
+_TEMPORALITY = {v: f',"temporality":"{v.value}","evidence":{{' for v in TemporalityStatus}
+_EVIDENCE = {d: f'"{d.value}":[' for d in Dimension}
+#: ``pred`` of an annotation with no evidence, which holds every default.
+_NO_EVIDENCE = (
+    _NEGATION[NegationStatus.AFFIRMED] + _EXPERIENCER[ExperiencerStatus.PATIENT]
+    + _TEMPORALITY[TemporalityStatus.RECENT] + "}}}\n"
+)
+
+
+def annotated_line(record: CorpusRecord, result: ContextAnnotation | InvalidSpan) -> str:
+    r"""``record`` as :func:`write_corpus` writes it, with its ``pred`` (or
+    ``error``) added as the last key.
+
+    >>> from cuescope import annotate, load_rules
+    >>> import io
+    >>> rules = load_rules(io.StringIO("no\tforward\ttrigger\tnegated\t5\n"))
+    >>> record = CorpusRecord(["no", "fever"], ConceptSpan(1, 2))
+    >>> print(annotated_line(record, annotate(record.tokens, record.concept, rules)), end="")
+    {"tokens":["no","fever"],"concept":[1,2],"pred":{"negation":"negated","experiencer":"patient","temporality":"recent","evidence":{"negation":[0,1]}}}
+    """
+    head = _record_head(record)
+    if type(result) is InvalidSpan:
+        return f'{head},"error":{encode_basestring(str(result))}}}\n'
+    evidence = result.evidence
+    if not evidence:
+        return head + _NO_EVIDENCE
+    cues = ",".join(f"{_EVIDENCE[d]}{cue.start},{cue.end}]" for d, cue in evidence.items())
+    return (
+        f"{head}{_NEGATION[result.negation]}{_EXPERIENCER[result.experiencer]}"
+        f"{_TEMPORALITY[result.temporality]}{cues}}}}}}}\n"
+    )
 
 
 @dataclass(frozen=True)

@@ -257,7 +257,9 @@ def annotate_records(
     processing continues.  A run of consecutive records with equal tokens
     is matched and resolved once, at its first valid concept, and not at
     all when it has none; equal sentences that are not adjacent are
-    matched again.  Raises ``ValueError`` when ``trie`` was built from a
+    matched again.  Runs compare token contents, against a copy taken
+    when the run starts, so a reader may refill one token list in place.
+    Raises ``ValueError`` when ``trie`` was built from a
     different rule set.
     """
     _check_trie(trie, ruleset)
@@ -266,7 +268,8 @@ def annotate_records(
     scopes: list[Scope] | None = None  # None: the run is not resolved yet
     for tokens, concept in records:
         if tokens != run_tokens:
-            run_tokens, n, scopes = tokens, len(tokens), None
+            # a slice keeps the type, so equal tuples, like equal lists, compare equal
+            run_tokens, n, scopes = tokens[:], len(tokens), None
         if 0 <= concept.start < concept.end <= n:
             if scopes is None:
                 scopes = _sentence_scopes(tokens, ruleset, trie)

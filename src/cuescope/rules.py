@@ -13,8 +13,8 @@ value      negated | possible | nonpatient | historical | hypothetical
 window     non-negative integer, unit = tokens
 
 Lines starting with ``#`` and blank lines are ignored.  All columns are
-case-insensitive and normalised to lowercase on load.  LF and CRLF line
-endings are both accepted.
+case-insensitive and normalised to lowercase on load.  LF, CRLF and CR
+line endings are all accepted, and a leading byte-order mark is ignored.
 """
 
 from __future__ import annotations
@@ -62,17 +62,6 @@ class Dimension(Enum):
     TEMPORALITY = "temporality"
 
 
-#: negated/possible modify negation, nonpatient modifies experiencer,
-#: historical/hypothetical modify temporality.
-VALUE_DIMENSION: dict[RuleValue, Dimension] = {
-    RuleValue.NEGATED: Dimension.NEGATION,
-    RuleValue.POSSIBLE: Dimension.NEGATION,
-    RuleValue.NONPATIENT: Dimension.EXPERIENCER,
-    RuleValue.HISTORICAL: Dimension.TEMPORALITY,
-    RuleValue.HYPOTHETICAL: Dimension.TEMPORALITY,
-}
-
-
 class NegationStatus(Enum):
     AFFIRMED = "affirmed"
     NEGATED = "negated"
@@ -92,16 +81,17 @@ class TemporalityStatus(Enum):
 
 Status = NegationStatus | ExperiencerStatus | TemporalityStatus
 
-#: Annotation value each rule value assigns, with its tie-break rank within
-#: the dimension: on exact distance ties the lower rank wins, so the value
-#: that preserves more information (possible over negated, hypothetical
-#: over historical) is kept.
-ASSIGNED_VALUE: dict[RuleValue, tuple[Status, int]] = {
-    RuleValue.NEGATED: (NegationStatus.NEGATED, 1),
-    RuleValue.POSSIBLE: (NegationStatus.POSSIBLE, 0),
-    RuleValue.NONPATIENT: (ExperiencerStatus.OTHER, 0),
-    RuleValue.HISTORICAL: (TemporalityStatus.HISTORICAL, 1),
-    RuleValue.HYPOTHETICAL: (TemporalityStatus.HYPOTHETICAL, 0),
+#: What each rule value does: the dimension it modifies, the annotation
+#: value it assigns there, and its tie-break rank within the dimension.
+#: On exact distance ties the lower rank wins, so the value that preserves
+#: more information (possible over negated, hypothetical over historical)
+#: is kept.
+VALUE_EFFECT: dict[RuleValue, tuple[Dimension, Status, int]] = {
+    RuleValue.NEGATED: (Dimension.NEGATION, NegationStatus.NEGATED, 1),
+    RuleValue.POSSIBLE: (Dimension.NEGATION, NegationStatus.POSSIBLE, 0),
+    RuleValue.NONPATIENT: (Dimension.EXPERIENCER, ExperiencerStatus.OTHER, 0),
+    RuleValue.HISTORICAL: (Dimension.TEMPORALITY, TemporalityStatus.HISTORICAL, 1),
+    RuleValue.HYPOTHETICAL: (Dimension.TEMPORALITY, TemporalityStatus.HYPOTHETICAL, 0),
 }
 
 _DIRECTIONS = {d.value: d for d in Direction}
@@ -157,7 +147,7 @@ class ContextRule:
 
     @property
     def dimension(self) -> Dimension:
-        return VALUE_DIMENSION[self.value]
+        return VALUE_EFFECT[self.value][0]
 
     def key(self) -> tuple:
         """Identity quadruple used for duplicate detection."""
@@ -185,8 +175,7 @@ _DIM_INDEX = {d: i for i, d in enumerate(Dimension)}
 
 
 def _entry(rule: ContextRule) -> RuleEntry:
-    dimension = rule.dimension
-    assigned, rank = ASSIGNED_VALUE[rule.value]
+    dimension, assigned, rank = VALUE_EFFECT[rule.value]
     return RuleEntry(
         rule.cue_type, _DIM_INDEX[dimension], dimension,
         rule.direction is not Direction.BACKWARD, rule.direction is not Direction.FORWARD,
@@ -296,12 +285,10 @@ def parse_rule_line(line: str, rule_id: int = 0, line_no: int | None = None) -> 
 def load_rules(source: str | os.PathLike | IO) -> RuleSet:
     """Load a rule file from a path or an open text/binary stream.
 
-    File order is preserved and ids are assigned ordinally.  The first
-    malformed line aborts the load, and so does a file that is not UTF-8;
-    duplicate rules are rejected.
+    File order is preserved and ids are assigned ordinally.  One leading
+    byte-order mark is ignored.  The first malformed line aborts the load,
+    and so does a file that is not UTF-8; duplicate rules are rejected.
     """
-    if isinstance(source, io.TextIOBase):
-        return _load_lines(source)
     if isinstance(source, (str, os.PathLike)):
         with open(source, "rb") as fh:
             text = fh.read()
@@ -313,15 +300,14 @@ def load_rules(source: str | os.PathLike | IO) -> RuleSet:
         except UnicodeDecodeError as err:
             line_no = text.count(b"\n", 0, err.start) + 1
             raise MalformedRule(f"not UTF-8 text ({err.reason})", line_no=line_no) from None
-    # newline=None reads CR, LF and CRLF line ends, as text-mode open does
-    return _load_lines(io.StringIO(text, newline=None))
-
-
-def _load_lines(lines: Iterable[str]) -> RuleSet:
+    # the mark goes after decoding, not through "utf-8-sig", so that an
+    # error offset above counts the bytes it is an offset into
+    text = text.removeprefix("\ufeff")
     read: list[tuple[int, str]] = []  # (line number, text) of each rule
 
     def parsed() -> Iterator[ContextRule]:
-        for line_no, raw in enumerate(lines, start=1):
+        # newline=None reads CR, LF and CRLF line ends, as text-mode open does
+        for line_no, raw in enumerate(io.StringIO(text, newline=None), start=1):
             stripped = raw.strip()
             if stripped and not stripped.startswith("#"):
                 rule = parse_rule_line(raw, rule_id=len(read), line_no=line_no)

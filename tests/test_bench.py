@@ -149,6 +149,8 @@ def test_config_validation():
         tiny_config(runs_per_step=0)
     with pytest.raises(ConfigError):
         tiny_config(engines=("naive", "jit"))
+    with pytest.raises(ConfigError):
+        tiny_config(engines=("trie", "trie"))
 
 
 def test_spearman_basics():

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from cuescope.cli import main
-from cuescope.corpus import CorpusRecord, dumps_record, iter_corpus, write_corpus
+from cuescope.corpus import CorpusRecord, iter_corpus, write_corpus
 from cuescope.engine import ConceptSpan, InvalidSpan, annotate
 from cuescope.matcher import build_trie
 
@@ -187,7 +187,7 @@ def test_annotate_output_file_deterministic(tmp_path, starter_rules_path, hand_g
 
 def reference_line(record, result) -> str:
     """A record and its result as the per-record loop writes them: the
-    record's dict plus a ``pred`` dict or an ``error``, via dumps_record."""
+    record's dict plus a ``pred`` dict or an ``error``, as compact JSON."""
     obj = {"tokens": record.tokens, "concept": [record.concept.start, record.concept.end]}
     if record.gold is not None:
         obj["gold"] = record.gold
@@ -200,7 +200,7 @@ def reference_line(record, result) -> str:
             "temporality": result.temporality.value,
             "evidence": {dim.value: [cue.start, cue.end] for dim, cue in result.evidence.items()},
         }
-    return dumps_record(obj) + "\n"
+    return json.dumps(obj, ensure_ascii=False, separators=(",", ":")) + "\n"
 
 
 def test_annotate_repeated_sentences_as_per_record_annotate(tmp_path, starter_rules_path,
@@ -473,6 +473,21 @@ def test_bench_csv_and_schedule(capsys):
     assert lines[0] == "rule_count,engine,mean_ms,stddev_ms,speedup_vs_naive"
     counts = [int(line.split(",")[0]) for line in lines[1:]]
     assert counts == [10, 10, 20, 20, 30, 30]
+
+
+def test_bench_reads_a_corpus_file(tmp_path, capsys):
+    corpus = tmp_path / "corpus.jsonl"
+    assert run_cli("generate", "corpus", "--seed", "3", "--count", "15",
+                   "--output", str(corpus)) == 0
+    bench = ("bench", "--base", "10", "--final", "20", "--step", "10",
+             "--runs", "1", "--warmup", "0", "--corpus")
+    assert run_cli(*bench, str(corpus)) == 0
+    rows = [line.split(",") for line in out_lines(capsys)[1:]]
+    assert [(row[0], row[1]) for row in rows] == \
+        [("10", "naive"), ("10", "trie"), ("20", "naive"), ("20", "trie")]
+    assert all(float(row[2]) > 0 for row in rows)
+    assert run_cli(*bench, str(tmp_path / "missing.jsonl")) == 3
+    assert "error: " in capsys.readouterr().err
 
 
 def test_bench_naive_only_check_passes(capsys):

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from cuescope import bench
+from cuescope import bench, corpus
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -17,7 +17,7 @@ def test_readme_examples(monkeypatch):
     assert failed == 0
 
 
-@pytest.mark.parametrize("module", [bench])
+@pytest.mark.parametrize("module", [bench, corpus])
 def test_docstring_examples(module):
     failed, attempted = doctest.testmod(module)
     assert attempted > 0

@@ -447,22 +447,38 @@ def test_batch_matches_each_run_once_and_equals_per_record(monkeypatch):
     ])
     trie = build_trie(rs)
     a = ["no", "mi", "but", "cva", "suspected"]
-    records = [
-        (a, ConceptSpan(7, 8)),  # invalid span first in a run
-        (list(a), ConceptSpan(1, 2)),
-        (list(a), ConceptSpan(4, 4)),  # invalid span in the middle of a run
-        (list(a), ConceptSpan(3, 4)),
-        (["father", "mi"], ConceptSpan(1, 2)),  # a run of length 1
-        (list(a), ConceptSpan(0, 1)),  # equal to a sentence that is not adjacent
-    ]
-    expected = per_record(records, rs, trie)
     calls = count_matcher_calls(monkeypatch)
-    assert outcomes(annotate_records(records, rs, trie)) == expected
-    assert calls == [a, ["father", "mi"], a]
-    assert outcomes(annotate_records(records, rs)) == expected
+    for seq in (list, tuple):  # token lists, and token tuples
+        records = [
+            (seq(a), ConceptSpan(7, 8)),  # invalid span first in a run
+            (seq(a), ConceptSpan(1, 2)),
+            (seq(a), ConceptSpan(4, 4)),  # invalid span in the middle of a run
+            (seq(a), ConceptSpan(3, 4)),
+            (seq(["father", "mi"]), ConceptSpan(1, 2)),  # a run of length 1
+            (seq(a), ConceptSpan(0, 1)),  # equal to a sentence that is not adjacent
+        ]
+        expected = per_record(records, rs, trie)
+        calls.clear()
+        assert outcomes(annotate_records(records, rs, trie)) == expected
+        assert calls == [a, ["father", "mi"], a]
+        assert outcomes(annotate_records(records, rs)) == expected
     pair = [(a, ConceptSpan(1, 2)), (a, ConceptSpan(3, 4))]
     assert [r.negation for r in annotate_records(pair, rs)] == \
         [NegationStatus.NEGATED, NegationStatus.POSSIBLE]
+
+
+def test_run_restarts_when_the_reader_refills_its_token_list():
+    rs = RuleSet.from_rules([trigger("no")])
+    buffer: list[str] = []
+
+    def refilled():
+        for tokens in (["no", "mi"], ["yes", "mi"]):
+            buffer[:] = tokens
+            yield buffer, ConceptSpan(1, 2)
+
+    expected = [NegationStatus.NEGATED, NegationStatus.AFFIRMED]
+    for trie in (build_trie(rs), None):
+        assert [r.negation for r in annotate_records(refilled(), rs, trie)] == expected
 
 
 def test_sentence_with_only_invalid_spans_is_not_matched(monkeypatch):

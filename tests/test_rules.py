@@ -131,6 +131,28 @@ def test_load_rejects_non_utf8_with_its_line(tmp_path):
         assert err.value.line_no == 3 and "not UTF-8" in str(err.value)
 
 
+def test_load_ignores_a_leading_byte_order_mark(tmp_path):
+    text = "\n".join(PAPER_LINES) + "\n"
+    path = tmp_path / "rules.tsv"
+    path.write_bytes(("\ufeff" + text).encode("utf-8"))
+    plain = load_rules(io.StringIO(text))
+    for source in (path, io.BytesIO(path.read_bytes()), io.StringIO("\ufeff" + text)):
+        assert load_rules(source) == plain
+
+
+def test_load_ignores_a_byte_order_mark_before_a_comment():
+    text = "\ufeff# negation cues\n" + PAPER_LINES[0] + "\n"
+    for source in (io.BytesIO(text.encode("utf-8")), io.StringIO(text)):
+        assert [rule.phrase for rule in load_rules(source)] == [("can", "rule", "out")]
+
+
+def test_load_after_a_byte_order_mark_names_the_line_of_a_bad_byte():
+    data = b"\xef\xbb\xbf" + PAPER_LINES[0].encode("utf-8") + b"\n\xff\n"
+    with pytest.raises(MalformedRule) as err:
+        load_rules(io.BytesIO(data))
+    assert err.value.line_no == 2 and "not UTF-8" in str(err.value)
+
+
 def test_serialize_paper_lines_bit_exact_modulo_both():
     ruleset = load_rules(io.StringIO("\n".join(PAPER_LINES) + "\n"))
     lines = serialize_rules(ruleset).splitlines()
