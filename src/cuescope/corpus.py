@@ -71,20 +71,26 @@ class ConfigError(ValueError):
     """Generator or benchmark configuration that cannot be satisfied."""
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class CorpusRecord:
     """One evaluation unit: a tokenized sentence, the concept span within
     it, and optional gold modifier values (strings, keyed by dimension).
 
     ``line_no`` is the 1-based line of the file the record was read from,
     for diagnostics (None for a record built in code); it takes no part in
-    comparisons.
+    comparisons.  Records are not frozen, so that the reader builds them
+    cheaply; nothing here changes one after it is built.
     """
 
     tokens: list[str]
     concept: ConceptSpan
     gold: dict[str, str] | None = None
     line_no: int | None = field(default=None, compare=False)
+
+
+#: Builds a :class:`ConceptSpan` from a checked two-int list without the
+#: Python-level ``__new__`` of a NamedTuple.
+_new = tuple.__new__
 
 
 def _record_from_obj(obj: object, line_no: int, line: str) -> CorpusRecord:
@@ -116,7 +122,7 @@ def _record_from_obj(obj: object, line_no: int, line: str) -> CorpusRecord:
                 raise CorpusError(f"line {line_no}: unknown gold dimension {dim!r}")
             if type(value) is not str or value not in allowed:
                 raise CorpusError(f"line {line_no}: bad gold value {value!r} for {dim}")
-    return CorpusRecord(tokens, ConceptSpan(concept[0], concept[1]), gold, line_no)
+    return CorpusRecord(tokens, _new(ConceptSpan, concept), gold, line_no)
 
 
 def iter_corpus(source: str | os.PathLike | IO | Iterable[str | bytes]) -> Iterator[CorpusRecord]:
@@ -125,9 +131,10 @@ def iter_corpus(source: str | os.PathLike | IO | Iterable[str | bytes]) -> Itera
 
     Structure is validated here; span validity against the sentence is
     the engine's per-record concern, so files with out-of-range concepts
-    still load.  A malformed line, including one that is not UTF-8,
-    raises :class:`CorpusError` naming its line number once every record
-    before it has been yielded.
+    still load.  One byte-order mark at the start of the first line is
+    ignored.  A malformed line, including one that is not UTF-8, raises
+    :class:`CorpusError` naming its line number once every record before
+    it has been yielded.
     """
     if isinstance(source, (str, os.PathLike)):
         with open_corpus(source) as fh:
@@ -144,7 +151,9 @@ def open_corpus(path: str | os.PathLike | int) -> IO[str]:
 
 
 def _iter_lines(lines: Iterable[str | bytes]) -> Iterator[CorpusRecord]:
-    loads = json.loads
+    # the C scanner behind ``json.loads``, called directly; the handlers
+    # below give the messages ``json.loads`` gives for the same line
+    scan = json.JSONDecoder().scan_once
     for line_no, line in enumerate(lines, start=1):
         if type(line) is bytes:
             line = line.decode("utf-8", "surrogateescape")
@@ -153,16 +162,24 @@ def _iter_lines(lines: Iterable[str | bytes]) -> Iterator[CorpusRecord]:
                 line.encode("utf-8")
             except UnicodeEncodeError:
                 raise CorpusError(f"line {line_no}: not valid UTF-8 text") from None
+            if line_no == 1 and line[0] == "\ufeff":
+                line = line[1:]  # a byte-order mark opens the file
         line = line.strip()
         if not line:
             continue
         try:
-            obj = loads(line)
+            obj, end = scan(line, 0)
+        except StopIteration:  # no value starts the line
+            msg = ("Unexpected UTF-8 BOM (decode using utf-8-sig)" if line[0] == "\ufeff"
+                   else "Expecting value")
+            raise CorpusError(f"line {line_no}: invalid JSON ({msg})") from None
         except json.JSONDecodeError as err:
             raise CorpusError(f"line {line_no}: invalid JSON ({err.msg})") from None
         except (ValueError, RecursionError) as err:
             # an integer past the conversion digit limit, or nesting too deep
             raise CorpusError(f"line {line_no}: invalid JSON ({err})") from None
+        if end != len(line):  # the line is stripped, so anything left is data
+            raise CorpusError(f"line {line_no}: invalid JSON (Extra data)")
         yield _record_from_obj(obj, line_no, line)
 
 

@@ -31,7 +31,9 @@ later concept of the run is assigned from.  :func:`annotate` is the
 one-record case.  Scope resolution reads each rule through
 ``RuleSet.table``, built once per rule set, once per match; it tests
 pseudo overlaps and clamps windows with plain loops and comparisons, and
-builds each :class:`Scope` as a tuple.  All functions here are pure.
+builds each :class:`Scope` as a tuple.  A concept no scope reaches gets
+one shared, immutable :class:`ContextAnnotation`.  All functions here are
+pure.
 Tokens are lowercased for matching, so every entry point is
 case-insensitive; :func:`resolve_scopes` reads only token counts.
 """
@@ -39,7 +41,8 @@ case-insensitive; :func:`resolve_scopes` reads only token counts.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from types import MappingProxyType
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .matcher import CueMatch, RuleTrie, find_matches_naive, find_matches_trie
 from .rules import (
@@ -56,9 +59,12 @@ class InvalidSpan(ValueError):
     """A concept span outside the sentence's token range."""
 
 
-@dataclass(frozen=True, slots=True)
-class ConceptSpan:
-    """Half-open token interval [start, end) of a concept mention."""
+class ConceptSpan(NamedTuple):
+    """Half-open token interval [start, end) of a concept mention.
+
+    A tuple, as :class:`CueMatch` is: immutable and hashable, and equal to
+    the plain tuple of its fields (``ConceptSpan(1, 2) == (1, 2)``).
+    """
 
     start: int
     end: int
@@ -86,18 +92,22 @@ class ContextAnnotation:
     """Per-concept result: one value per dimension plus the cue that set it.
 
     ``evidence`` holds an entry for exactly the dimensions with a
-    non-default value.
+    non-default value.  It is a read-only mapping in every result the
+    engine returns, so that a result may be shared: every concept no scope
+    reaches gets the same object, equal to ``ContextAnnotation()``.
     """
 
     negation: NegationStatus = NegationStatus.AFFIRMED
     experiencer: ExperiencerStatus = ExperiencerStatus.PATIENT
     temporality: TemporalityStatus = TemporalityStatus.RECENT
-    evidence: dict[Dimension, CueMatch] = field(default_factory=dict)
+    evidence: Mapping[Dimension, CueMatch] = field(default_factory=lambda: MappingProxyType({}))
 
 
 _PSEUDO, _TRIGGER = CueType.PSEUDO, CueType.TRIGGER
 #: The value of each dimension, in ``Dimension`` order, that no cue set.
 _DEFAULT_VALUES = (NegationStatus.AFFIRMED, ExperiencerStatus.PATIENT, TemporalityStatus.RECENT)
+#: The result of every concept that no scope reaches.
+_NO_CUE = ContextAnnotation()
 #: Builds a :class:`Scope` without the Python-level ``__new__`` of a NamedTuple.
 _new = tuple.__new__
 
@@ -191,13 +201,13 @@ def _assign(scopes: list[Scope], table: tuple[RuleEntry, ...], concept: ConceptS
         if current is None or key < current[0]:
             best[entry.dim_index] = (key, scope)
     if not best:
-        return ContextAnnotation()
+        return _NO_CUE
     values = list(_DEFAULT_VALUES)
     evidence: dict[Dimension, CueMatch] = {}
     for dim, (_, scope) in best.items():
         values[dim] = scope.value
         evidence[scope.dimension] = scope.cue
-    return ContextAnnotation(values[0], values[1], values[2], evidence)
+    return ContextAnnotation(values[0], values[1], values[2], MappingProxyType(evidence))
 
 
 def _check_trie(trie: RuleTrie | None, ruleset: RuleSet) -> None:

@@ -294,6 +294,35 @@ def test_annotate_reads_stdin_bytes_and_names_a_non_utf8_line(paper_rules):
     assert json.loads(proc.stdout)["pred"]["negation"] == "negated"
 
 
+def test_annotate_ignores_a_byte_order_mark_opening_the_corpus(tmp_path, starter_rules_path,
+                                                              hand_gold_path):
+    rules = str(starter_rules_path)
+    marked = tmp_path / "marked.jsonl"
+    marked.write_bytes(b"\xef\xbb\xbf" + hand_gold_path.read_bytes())
+    outputs = []
+    for corpus in (hand_gold_path, marked):
+        out = tmp_path / f"{corpus.stem}.out"
+        assert run_cli("annotate", "--rules", rules, "--input", str(corpus), "--output", str(out)) == 0
+        outputs.append(out.read_bytes())
+    proc = subprocess.run(
+        [sys.executable, "-m", "cuescope.cli", "annotate", "--rules", rules, "--input", "-"],
+        input=marked.read_bytes(), capture_output=True, timeout=120,
+    )
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert outputs[0] == outputs[1] == proc.stdout
+    assert len(outputs[0].splitlines()) == len(hand_gold_path.read_bytes().splitlines())
+
+
+def test_annotate_names_a_byte_order_mark_on_a_later_line(tmp_path, paper_rules, capsys):
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_bytes("".join(f"{line}\n" for line in GOOD_LINES).replace("\n", "\n\ufeff", 1)
+                       .encode("utf-8"))
+    assert run_cli("annotate", "--rules", str(paper_rules), "--input", str(corpus)) == 3
+    captured = capsys.readouterr()
+    assert captured.err == "error: line 2: invalid JSON (Unexpected UTF-8 BOM (decode using utf-8-sig))\n"
+    assert len(captured.out.splitlines()) == 1
+
+
 def test_annotate_missing_input_leaves_output_untouched(tmp_path, paper_rules, capsys):
     output = tmp_path / "out.jsonl"
     assert run_cli("annotate", "--rules", str(paper_rules),

@@ -2,7 +2,9 @@ import io
 import json
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from cuescope import corpus
 from cuescope.corpus import (
     DIMENSION_VALUES,
     ConfigError,
@@ -89,6 +91,108 @@ def test_read_corpus_rejects_non_utf8_with_its_line(tmp_path):
     assert len(records) == 400
     with pytest.raises(CorpusError, match="line 2: not valid UTF-8"):
         list(iter_corpus([good, b"\xff\n"]))
+
+
+def expected_from_json_loads(line: str):
+    """What reading the one-line corpus ``line`` must give: the record
+    built from ``json.loads``' value (or the error building it raises), or
+    ``json.loads``' own message."""
+    text = line.strip()
+    if not text:
+        return []  # a blank line holds no record
+    try:
+        obj = json.loads(text)
+    except json.JSONDecodeError as err:
+        return f"line 1: invalid JSON ({err.msg})"
+    except (ValueError, RecursionError) as err:
+        return f"line 1: invalid JSON ({err})"
+    try:
+        return [corpus._record_from_obj(obj, 1, text)]
+    except CorpusError as err:
+        return str(err)
+
+
+def read_one_line(line):
+    try:
+        return list(iter_corpus([line]))
+    except CorpusError as err:
+        return str(err)
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=5), inner, max_size=3),
+    max_leaves=8,
+)
+RECORDS = st.fixed_dictionaries(
+    {"tokens": st.lists(st.text(max_size=4), max_size=4),
+     "concept": st.lists(st.integers(-2, 6), min_size=2, max_size=2)},
+    optional={"gold": st.dictionaries(st.sampled_from(sorted(DIMENSION_VALUES)),
+                                      st.sampled_from(["negated", "patient", "recent", "x"]),
+                                      max_size=2)},
+)
+WHITESPACE = st.text(st.sampled_from(" \t\x0c\x0b\xa0\u2028\u3000\ufeff"), max_size=3)
+
+
+@st.composite
+def corpus_lines(draw):
+    """JSON text, cut or spliced at a random point, with whitespace and
+    byte-order marks around it."""
+    text = json.dumps(draw(st.one_of(RECORDS, JSON_VALUES)), ensure_ascii=draw(st.booleans()))
+    cut = draw(st.integers(0, len(text)))
+    edit = draw(st.sampled_from(["keep", "cut", "insert", "append"]))
+    if edit == "cut":
+        text = text[:cut]
+    elif edit == "insert":
+        text = text[:cut] + draw(st.text(alphabet='{}[],:" x0-e.\\', max_size=2)) + text[cut:]
+    elif edit == "append":
+        text += draw(st.sampled_from(["x", " {}", "}", ",", " 1", "]"]))
+    # a mark that opens the file is dropped, not decoded (tested below)
+    return draw(WHITESPACE.filter(lambda s: not s.startswith("\ufeff"))) + text + draw(WHITESPACE)
+
+
+@settings(max_examples=400, deadline=None)
+@example("{} x")  # trailing garbage
+@example('{"tokens": ["a"], "concept": [0, 1]} {"tokens": ["b"], "concept": [0, 1]}')
+@example('{"tokens":')
+@example("[1,]")
+@example("not json")
+@example("]")
+@example("")
+@example('{"tokens": ["a"], "concept": [0, 1%s]}' % ("0" * 5000))  # a huge integer
+@example("[" * 100_000 + "]" * 100_000)  # nesting too deep
+@example('\x0c\xa0{"tokens": ["a"], "concept": [0, 1]}\xa0\x0c')
+@example(' \ufeff{"tokens": ["a"], "concept": [0, 1]}')
+@example('{"tokens": ["a"], "concept": [0, 1]}\ufeff')
+@given(corpus_lines())
+def test_reading_a_line_matches_json_loads(line):
+    assert read_one_line(line) == expected_from_json_loads(line)
+
+
+def test_one_byte_order_mark_opening_the_corpus_is_ignored():
+    good = '{"tokens": ["a"], "concept": [0, 1]}'
+    expected = [CorpusRecord(["a"], ConceptSpan(0, 1))]
+    assert list(iter_corpus(io.StringIO(f"\ufeff{good}\n"))) == expected
+    assert list(iter_corpus([f"\ufeff{good}".encode("utf-8")])) == expected
+    assert list(iter_corpus(io.StringIO(f"\ufeff\n{good}\n"))) == expected
+    for line in (f"\ufeff\ufeff{good}", f" \ufeff{good}"):
+        with pytest.raises(CorpusError, match=r"^line 1: invalid JSON \(Unexpected UTF-8 BOM"):
+            list(iter_corpus([line]))
+
+
+def test_a_byte_order_mark_on_a_later_line_is_invalid_json():
+    good = '{"tokens": ["a"], "concept": [0, 1]}'
+    records = []
+    with pytest.raises(CorpusError) as err:
+        records.extend(iter_corpus(io.StringIO(f"{good}\n\ufeff{good}\n")))
+    assert str(err.value) == "line 2: invalid JSON (Unexpected UTF-8 BOM (decode using utf-8-sig))"
+    assert records == [CorpusRecord(["a"], ConceptSpan(0, 1))]
+
+
+def test_read_corpus_yields_concept_spans():
+    records = list(iter_corpus(io.StringIO('{"tokens": ["a", "b"], "concept": [0, 2]}\n')))
+    concept = records[0].concept
+    assert type(concept) is ConceptSpan and concept == (0, 2) and concept.end == 2
 
 
 def test_read_corpus_allows_out_of_range_concept():

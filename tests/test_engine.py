@@ -8,6 +8,7 @@ from cuescope import engine
 from cuescope.corpus import generate_rules
 from cuescope.engine import (
     ConceptSpan,
+    ContextAnnotation,
     ExperiencerStatus,
     InvalidSpan,
     NegationStatus,
@@ -206,6 +207,37 @@ def test_evidence_present_iff_non_default():
     assert set(hit.evidence) == {Dimension.NEGATION}
     miss = annotate(["mi", "no"], ConceptSpan(0, 1), rs)
     assert miss.evidence == {}
+
+
+def test_evidence_is_read_only():
+    rs = RuleSet.from_rules([trigger("no")])
+    hit = annotate(["no", "mi"], ConceptSpan(1, 2), rs)
+    miss = annotate(["mi", "no"], ConceptSpan(0, 1), rs)
+    for annotation in (hit, miss, ContextAnnotation()):
+        with pytest.raises(TypeError):
+            annotation.evidence[Dimension.NEGATION] = hit.evidence[Dimension.NEGATION]
+    assert miss.evidence == {}
+    assert annotate(["mi", "no"], ConceptSpan(0, 1), rs).evidence == {}
+
+
+def test_results_without_a_cue_are_one_shared_object():
+    rs = RuleSet.from_rules([trigger("no")])
+    trie = build_trie(rs)
+    misses = [
+        annotate(["mi", "no"], ConceptSpan(0, 1), rs),
+        annotate(["cva"], ConceptSpan(0, 1), rs, trie),
+        *annotate_records([(["mi"], ConceptSpan(0, 1)), (["no", "mi", "no"], ConceptSpan(0, 1))], rs),
+    ]
+    assert all(miss is misses[0] for miss in misses)
+    assert misses[0] == ContextAnnotation()
+    assert annotate(["no", "mi"], ConceptSpan(1, 2), rs) is not misses[0]
+
+
+def test_concept_span_is_a_tuple():
+    span = ConceptSpan(1, 2)
+    assert span == (1, 2) and (span.start, span.end) == (1, 2)
+    assert hash(span) == hash((1, 2)) and {span: 0}[(1, 2)] == 0
+    assert ConceptSpan(*[1, 2]) == span
 
 
 # --- randomized agreement with the per-token reference oracle ---
