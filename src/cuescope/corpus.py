@@ -88,11 +88,6 @@ class CorpusRecord:
     line_no: int | None = field(default=None, compare=False)
 
 
-#: Builds a :class:`ConceptSpan` from a checked two-int list without the
-#: Python-level ``__new__`` of a NamedTuple.
-_new = tuple.__new__
-
-
 def _record_from_obj(obj: object, line_no: int, line: str) -> CorpusRecord:
     if type(obj) is not dict:
         raise CorpusError(f"line {line_no}: expected a JSON object")
@@ -122,7 +117,8 @@ def _record_from_obj(obj: object, line_no: int, line: str) -> CorpusRecord:
                 raise CorpusError(f"line {line_no}: unknown gold dimension {dim!r}")
             if type(value) is not str or value not in allowed:
                 raise CorpusError(f"line {line_no}: bad gold value {value!r} for {dim}")
-    return CorpusRecord(tokens, _new(ConceptSpan, concept), gold, line_no)
+    # ``tuple.__new__`` skips the Python-level ``__new__`` of a NamedTuple
+    return CorpusRecord(tokens, tuple.__new__(ConceptSpan, concept), gold, line_no)
 
 
 def iter_corpus(source: str | os.PathLike | IO | Iterable[str | bytes]) -> Iterator[CorpusRecord]:

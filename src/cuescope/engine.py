@@ -95,12 +95,23 @@ class ContextAnnotation:
     non-default value.  It is a read-only mapping in every result the
     engine returns, so that a result may be shared: every concept no scope
     reaches gets the same object, equal to ``ContextAnnotation()``.
+    Results pickle and copy (the copy gets a new read-only mapping), but
+    ``dataclasses.asdict`` cannot copy the mapping; use ``dict(evidence)``.
     """
 
     negation: NegationStatus = NegationStatus.AFFIRMED
     experiencer: ExperiencerStatus = ExperiencerStatus.PATIENT
     temporality: TemporalityStatus = TemporalityStatus.RECENT
     evidence: Mapping[Dimension, CueMatch] = field(default_factory=lambda: MappingProxyType({}))
+
+    def __reduce__(self):
+        # a mapping proxy cannot be pickled or copied, so rebuild it from a dict
+        return _annotation, (self.negation, self.experiencer, self.temporality, dict(self.evidence))
+
+
+def _annotation(negation, experiencer, temporality, evidence: dict) -> ContextAnnotation:
+    """A result whose ``evidence`` is a read-only view of ``evidence``."""
+    return ContextAnnotation(negation, experiencer, temporality, MappingProxyType(evidence))
 
 
 _PSEUDO, _TRIGGER = CueType.PSEUDO, CueType.TRIGGER
@@ -207,7 +218,7 @@ def _assign(scopes: list[Scope], table: tuple[RuleEntry, ...], concept: ConceptS
     for dim, (_, scope) in best.items():
         values[dim] = scope.value
         evidence[scope.dimension] = scope.cue
-    return ContextAnnotation(values[0], values[1], values[2], MappingProxyType(evidence))
+    return _annotation(*values, evidence)
 
 
 def _check_trie(trie: RuleTrie | None, ruleset: RuleSet) -> None:

@@ -1,4 +1,6 @@
+import copy
 import io
+import pickle
 import random
 
 import pytest
@@ -231,6 +233,17 @@ def test_results_without_a_cue_are_one_shared_object():
     assert all(miss is misses[0] for miss in misses)
     assert misses[0] == ContextAnnotation()
     assert annotate(["no", "mi"], ConceptSpan(1, 2), rs) is not misses[0]
+
+
+def test_results_pickle_and_copy_with_read_only_evidence():
+    rs = RuleSet.from_rules([trigger("no")])
+    hit = annotate(["no", "mi"], ConceptSpan(1, 2), rs)
+    miss = annotate(["mi", "no"], ConceptSpan(0, 1), rs)
+    for annotation in (hit, miss):
+        for clone in (pickle.loads(pickle.dumps(annotation)), copy.deepcopy(annotation), copy.copy(annotation)):
+            assert clone == annotation
+            with pytest.raises(TypeError):
+                clone.evidence[Dimension.NEGATION] = hit.evidence[Dimension.NEGATION]
 
 
 def test_concept_span_is_a_tuple():
