@@ -88,6 +88,9 @@ MUTANTS: list[tuple[str, str, str]] = [
     ("records not counted in score",
      "report.records += 1",
      "report.records += 0"),
+    ("ContextRule's ValueError not wrapped",
+     "raise MalformedRule(str(err), line_no=line_no, column=1) from None",
+     "raise"),
     # the trie walk
     ("no sort on an equal-length merge",
      "best = sorted(best + rules)",
@@ -102,6 +105,31 @@ MUTANTS: list[tuple[str, str, str]] = [
     ("no regular-file condition on the same-file check",
      "return stat.S_ISREG(read.st_mode) and os.path.samestat(read, written)",
      "return os.path.samestat(read, written)"),
+    ("an invalid span skipped in evaluate",
+     'raise corpus_mod.CorpusError(f"line {record.line_no}: {prediction}")',
+     "continue"),
+    ("the whole gold file read before scoring",
+     "score(_gold_pairs(source, ruleset, trie))",
+     "score(list(_gold_pairs(source, ruleset, trie)))"),
+    # the scaling bench
+    ("no final-speedup check",
+     "if final.speedup_vs_naive < FINAL_SPEEDUP_MIN:",
+     "if False:"),
+    ("constant naive means pass the Spearman check",
+     "if not rho >= SPEARMAN_MIN:",
+     "if rho < SPEARMAN_MIN:"),
+    ("naive and trie swapped in a table row",
+     "for row in (naive, trie))",
+     "for row in (trie, naive))"),
+    ("speedup inverted",
+     "naive_mean / trie_mean",
+     "trie_mean / naive_mean"),
+    ("another rule seed",
+     "RULE_SEED = 7",
+     "RULE_SEED = 8"),
+    ("another corpus seed",
+     "CORPUS_SEED = 97",
+     "CORPUS_SEED = 98"),
 ]
 
 #: The test run each fault must fail: fast, without the timing criteria.

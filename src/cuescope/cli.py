@@ -64,12 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--step", type=int, default=50, help="rules added per step")
     p.add_argument("--runs", type=int, default=20, help="timed runs per step")
     p.add_argument("--warmup", type=int, default=2, help="discarded runs per step")
-    p.add_argument("--engines", default="naive,trie",
-                   help="comma-separated subset of naive,trie")
-    p.add_argument("--rule-seed", type=int, default=7)
-    p.add_argument("--ramp-seed", type=int, default=11)
-    p.add_argument("--corpus", default=None, help="corpus path (default: generated)")
-    p.add_argument("--corpus-seed", type=int, default=97)
+    p.add_argument("--corpus", default=None, help="corpus path (default: generated, seed 97)")
     p.add_argument("--corpus-size", type=int, default=1000)
     p.add_argument("--format", choices=("csv", "table"), default="csv")
     p.add_argument("--output", default="-", help="report path or '-' for stdout")
@@ -195,18 +190,14 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 def cmd_bench(args: argparse.Namespace) -> int:
     from . import bench as bench_mod  # only here, so other commands start faster
 
-    engines = tuple(name.strip() for name in args.engines.split(",") if name.strip())
     config = bench_mod.BenchConfig(
         base_rule_count=args.base,
         final_rule_count=args.final,
         step=args.step,
         runs_per_step=args.runs,
         warmup_runs=args.warmup,
-        engines=engines,
-        rule_seed=args.rule_seed,
-        ramp_seed=args.ramp_seed,
         corpus_path=args.corpus,
-        corpus=corpus_mod.GeneratorConfig(seed=args.corpus_seed, sentence_count=args.corpus_size),
+        corpus_size=args.corpus_size,
     )
     report = bench_mod.run_ramp(config)
     with _open_out(args.output) as out:

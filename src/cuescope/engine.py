@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from .matcher import CueMatch, RuleTrie, find_matches_naive, find_matches_trie
+from .matcher import CueMatch, RuleTrie, _new, find_matches_naive, find_matches_trie
 from .rules import (
     CueType,
     Dimension,
@@ -119,8 +119,6 @@ _PSEUDO, _TRIGGER = CueType.PSEUDO, CueType.TRIGGER
 _DEFAULT_VALUES = (NegationStatus.AFFIRMED, ExperiencerStatus.PATIENT, TemporalityStatus.RECENT)
 #: The result of every concept that no scope reaches.
 _NO_CUE = ContextAnnotation()
-#: Builds a :class:`Scope` without the Python-level ``__new__`` of a NamedTuple.
-_new = tuple.__new__
 
 
 def resolve_scopes(matches: Sequence[CueMatch], ruleset: RuleSet, sentence_len: int) -> list[Scope]:

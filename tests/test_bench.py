@@ -1,10 +1,13 @@
+import io
 import math
+import re
 import runpy
 from pathlib import Path
 
 import pytest
 
 from cuescope.bench import (
+    RULE_SEED,
     BenchConfig,
     BenchReport,
     BenchRow,
@@ -15,17 +18,19 @@ from cuescope.bench import (
     run_ramp,
     spearman,
     step_schedule,
+    _load_bench_corpus,
 )
-from cuescope.corpus import ConfigError, GeneratorConfig, generate_corpus, generate_rules
+from cuescope.cli import main as cli_main
+from cuescope.corpus import (
+    ConfigError, GeneratorConfig, generate_corpus, generate_rules, write_corpus,
+)
 from cuescope.rules import CueType, RuleValue
-
-TINY_CORPUS = GeneratorConfig(seed=5, sentence_count=25, min_len=4, max_len=8)
 
 
 def tiny_config(**kwargs):
     defaults = dict(
         base_rule_count=10, final_rule_count=30, step=10,
-        runs_per_step=2, warmup_runs=0, corpus=TINY_CORPUS,
+        runs_per_step=2, warmup_runs=0, corpus_size=25,
     )
     defaults.update(kwargs)
     return BenchConfig(**defaults)
@@ -60,23 +65,30 @@ def test_ramp_rule_sets_deterministic_and_prefix_preserving():
 def test_run_ramp_row_shape_and_speedup():
     report = run_ramp(tiny_config())
     assert len(report.rows) == 3 * 2
-    for row in report.rows:
-        assert row.engine in ("naive", "trie")
-        assert row.mean_ms > 0
-        if row.engine == "trie":
-            assert row.speedup_vs_naive is not None
-            assert row.build_ms >= 0
-        else:
-            assert row.speedup_vs_naive is None
+    # a (naive, trie) pair of rows per step, in ramp order
+    assert [(row.rule_count, row.engine) for row in report.rows] == \
+        [(count, engine) for count in (10, 20, 30) for engine in ("naive", "trie")]
+    for naive, trie in zip(report.rows[::2], report.rows[1::2]):
+        assert naive.mean_ms > 0 and trie.mean_ms > 0
+        assert naive.speedup_vs_naive is None
+        assert naive.build_ms == 0.0
+        assert trie.build_ms >= 0
+        assert trie.speedup_vs_naive == naive.mean_ms / trie.mean_ms
     assert report.environment
     assert report.started
 
 
-def test_run_ramp_single_engine_no_speedup():
-    report = run_ramp(tiny_config(engines=("trie",), base_rule_count=10,
-                                  final_rule_count=10, runs_per_step=1))
-    assert len(report.rows) == 1
-    assert report.rows[0].speedup_vs_naive is None
+@pytest.mark.parametrize("base,final,size", [(30, 60, 50), (409, 849, 1000)])
+def test_generated_corpus_is_the_generate_command_at_seed_97(tmp_path, base, final, size):
+    # the recipe for another corpus: `generate corpus ... --output F`, then
+    # `bench --corpus F`; at these settings it gives bench's own corpus
+    config = BenchConfig(base_rule_count=base, final_rule_count=final, corpus_size=size)
+    written = io.StringIO()
+    write_corpus(_load_bench_corpus(config, generate_rules(RULE_SEED, final)), written)
+    path = tmp_path / "corpus.jsonl"
+    assert cli_main(["generate", "corpus", "--seed", "97", "--count", str(size),
+                     "--rule-count", str(base), "--output", str(path)]) == 0
+    assert written.getvalue() == path.read_text(encoding="utf-8")
 
 
 def test_emit_csv_columns_exact():
@@ -89,15 +101,24 @@ def test_emit_csv_columns_exact():
 
 
 def test_emit_table_mentions_environment():
-    report = run_ramp(tiny_config(engines=("naive",), runs_per_step=1))
-    table = emit_report(report, "table")
-    assert "# environment:" in table
-    assert "naive" in table
+    report = BenchReport(rows=(
+        BenchRow(409, "naive", 250.0, 4.5, 0.0),
+        BenchRow(409, "trie", 9.3, 0.4, 1.13, speedup_vs_naive=250.0 / 9.3),
+        BenchRow(849, "naive", 520.0, 12.0, 0.0),
+        BenchRow(849, "trie", 9.6, 0.3, 2.5, speedup_vs_naive=520.0 / 9.6),
+    ), environment="host Linux 6 Python 3", started="now")
+    lines = emit_report(report, "table").splitlines()
+    assert lines[0] == "# environment: host Linux 6 Python 3"
+    assert lines[3].split() == ["rules", "naive", "trie", "build_ms", "speedup"]
+    # rules, naive mean (sd), trie mean (sd), build_ms, speedup
+    assert [re.findall(r"[\d.]+", line) for line in lines[4:]] == [
+        ["409", "250.0", "4.5", "9.3", "0.4", "1.13", "26.9"],
+        ["849", "520.0", "12.0", "9.6", "0.3", "2.50", "54.2"],
+    ]
 
 
 def test_emit_unknown_format():
-    report = run_ramp(tiny_config(engines=("naive",), runs_per_step=1,
-                                  base_rule_count=10, final_rule_count=10))
+    report = run_ramp(tiny_config(runs_per_step=1, base_rule_count=10, final_rule_count=10))
     with pytest.raises(ValueError):
         emit_report(report, "json")
 
@@ -106,9 +127,8 @@ def _synthetic_report(naive, trie):
     rows = []
     for count, mean in naive.items():
         rows.append(BenchRow(count, "naive", mean, 0.0, 0.0))
-    for count, mean in trie.items():
-        rows.append(BenchRow(count, "trie", mean, 0.0, 0.1,
-                             speedup_vs_naive=naive[count] / mean))
+        rows.append(BenchRow(count, "trie", trie[count], 0.0, 0.1,
+                             speedup_vs_naive=mean / trie[count]))
     return BenchReport(rows=tuple(rows), environment="synthetic", started="now")
 
 
@@ -119,11 +139,14 @@ def test_check_report_passes_on_clean_scaling():
 
 
 def test_check_report_flags_flat_naive():
-    naive = {409: 100.0, 509: 101.0, 609: 99.0, 709: 100.0, 849: 102.0}
-    trie = {c: 2.0 for c in naive}
-    failures = check_report(_synthetic_report(naive, trie))
-    assert any("naive mean ratio" in f for f in failures)
-    assert any("spearman" in f for f in failures)
+    for naive in (
+        {409: 100.0, 509: 101.0, 609: 99.0, 709: 100.0, 849: 102.0},
+        {409: 100.0, 849: 100.0},  # constant: no rank correlation (NaN)
+    ):
+        trie = {c: 2.0 for c in naive}
+        failures = check_report(_synthetic_report(naive, trie))
+        assert any("naive mean ratio" in f for f in failures)
+        assert any("spearman" in f for f in failures)
 
 
 def test_check_report_flags_growing_trie():
@@ -147,10 +170,6 @@ def test_config_validation():
         tiny_config(step=0)
     with pytest.raises(ConfigError):
         tiny_config(runs_per_step=0)
-    with pytest.raises(ConfigError):
-        tiny_config(engines=("naive", "jit"))
-    with pytest.raises(ConfigError):
-        tiny_config(engines=("trie", "trie"))
 
 
 def test_spearman_basics():

@@ -519,14 +519,6 @@ def test_bench_reads_a_corpus_file(tmp_path, capsys):
     assert "error: " in capsys.readouterr().err
 
 
-def test_bench_naive_only_check_passes(capsys):
-    assert run_cli("bench", "--base", "50", "--final", "400", "--step", "175",
-                   "--runs", "3", "--warmup", "1", "--engines", "naive",
-                   "--corpus-size", "60", "--check") == 0
-    err = capsys.readouterr().err
-    assert "check: all scaling assertions hold" in err
-
-
 def test_bench_table_format(capsys):
     assert run_cli("bench", "--base", "10", "--final", "10", "--runs", "1",
                    "--warmup", "0", "--corpus-size", "10",
