@@ -127,6 +127,9 @@ MUTANTS: list[tuple[str, str, str]] = [
     ("another rule seed",
      "RULE_SEED = 7",
      "RULE_SEED = 8"),
+    ("another ramp seed",
+     "RAMP_SEED = 11",
+     "RAMP_SEED = 12"),
     ("another corpus seed",
      "CORPUS_SEED = 97",
      "CORPUS_SEED = 98"),

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from cuescope import bench
 from cuescope.bench import (
     RULE_SEED,
     BenchConfig,
@@ -76,6 +77,18 @@ def test_run_ramp_row_shape_and_speedup():
         assert trie.speedup_vs_naive == naive.mean_ms / trie.mean_ms
     assert report.environment
     assert report.started
+
+
+def test_run_ramp_adds_rules_in_the_order_of_seed_11(monkeypatch):
+    seeds = []
+
+    def recording(full, base, step, ramp_seed):
+        seeds.append(ramp_seed)
+        return ramp_rule_sets(full, base, step, ramp_seed)
+
+    monkeypatch.setattr(bench, "ramp_rule_sets", recording)
+    run_ramp(tiny_config(runs_per_step=1))
+    assert seeds == [11]
 
 
 @pytest.mark.parametrize("base,final,size", [(30, 60, 50), (409, 849, 1000)])
