@@ -98,6 +98,10 @@ MUTANTS: list[tuple[str, str, str]] = [
     ("wildcard branches only from the start node",
      "wild = node.wildcard_child",
      "wild = None"),
+    # the engine's result
+    ("evidence in dimension order, not cue order",
+     "for dim, (_, scope) in best.items():",
+     "for dim, (_, scope) in sorted(best.items()):"),
     # the command line
     ("no same-file check",
      "return stat.S_ISREG(read.st_mode) and os.path.samestat(read, written)",
@@ -111,6 +115,26 @@ MUTANTS: list[tuple[str, str, str]] = [
     ("the whole gold file read before scoring",
      "score(_gold_pairs(source, ruleset, trie))",
      "score(list(_gold_pairs(source, ruleset, trie)))"),
+    ("annotate opens --output before --input",
+     "with _open_in(args.input) as source:",
+     "with _open_out(args.output), _open_in(args.input) as source:"),
+    ("generate opens --output before it reads --rules",
+     "    if args.rules is not None:\n        ruleset = _load_rules(args.rules)",
+     "    if args.rules is not None:\n        with _open_out(args.output):\n"
+     "            pass\n        ruleset = _load_rules(args.rules)"),
+    ("generate corpus injects cues from another rule seed",
+     "corpus_mod.generate_rules(corpus_mod.RULE_SEED, args.rule_count)",
+     "corpus_mod.generate_rules(8, args.rule_count)"),
+    # the generators
+    ("longer generated sentences",
+     "MIN_LEN, MAX_LEN = 6, 14",
+     "MIN_LEN, MAX_LEN = 6, 15"),
+    ("199 filler words",
+     'FILLER_VOCAB = tuple(f"w{i:03d}" for i in range(200))',
+     'FILLER_VOCAB = tuple(f"w{i:03d}" for i in range(199))'),
+    ("another wildcard rate",
+     "if length >= 2 and rng.random() < 0.05:",
+     "if length >= 2 and rng.random() < 0.04:"),
     # the scaling bench
     ("no final-speedup check",
      "if final.speedup_vs_naive < FINAL_SPEEDUP_MIN:",

@@ -4,6 +4,10 @@ order, averaged over repeated runs with different addition orders.
 
 Gold labels come from the full rule set, so the final step scores 1.0 by
 construction and the curve shows how quickly a partial rule set converges.
+The data is fixed, as in the acceptance test of the same curve (C6): the
+rule set is ``generate rules --seed 7``, and the corpus is generated at
+seed 29 with a cue injected into 35% of its sentences.  A bad value ends
+the run with one ``error:`` line and exit 3.
 
 Usage::
 
@@ -16,7 +20,7 @@ import statistics
 import sys
 
 from cuescope.bench import run_accuracy_ramp, step_schedule
-from cuescope.corpus import GeneratorConfig, generate_corpus, generate_rules
+from cuescope.corpus import RULE_SEED, ConfigError, GeneratorConfig, generate_corpus, generate_rules
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -27,18 +31,20 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--repeats", type=int, default=5,
                         help="independent random addition orders to average")
     parser.add_argument("--sentences", type=int, default=400)
-    parser.add_argument("--rate", type=float, default=0.35)
-    parser.add_argument("--corpus-seed", type=int, default=29)
-    parser.add_argument("--rule-seed", type=int, default=7)
     args = parser.parse_args(argv)
 
-    full = generate_rules(args.rule_seed, args.final)
-    records = generate_corpus(
-        GeneratorConfig(seed=args.corpus_seed, sentence_count=args.sentences,
-                        cue_injection_rate=args.rate),
-        full,
-    )
-    counts = step_schedule(args.base, args.final, args.step)
+    try:
+        counts = step_schedule(args.base, args.final, args.step)
+        if args.repeats < 1:
+            raise ConfigError("repeats must be >= 1")
+        full = generate_rules(RULE_SEED, args.final)
+        records = generate_corpus(
+            GeneratorConfig(seed=29, sentence_count=args.sentences, cue_injection_rate=0.35),
+            full,
+        )
+    except ConfigError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 3
     series: dict[str, dict[int, list[float]]] = {
         name: {count: [] for count in counts} for name in ("negated", "possible", "other")
     }

@@ -33,16 +33,16 @@ from datetime import datetime, timezone
 from typing import Iterator, Sequence
 
 from .corpus import (
-    ConfigError, CorpusRecord, GeneratorConfig, generate_corpus, generate_rules, iter_corpus,
+    RULE_SEED, ConfigError, CorpusRecord, GeneratorConfig, generate_corpus, generate_rules,
+    iter_corpus,
 )
 from .engine import ConceptSpan, annotate_records
 from .evaluate import EvalReport, score
 from .matcher import build_trie
 from .rules import ContextRule, RuleSet
 
-#: Seeds of the generated rule set, of the order the ramp adds rules in and
-#: of the generated corpus.
-RULE_SEED = 7
+#: Seeds of the order the ramp adds rules in and of the generated corpus
+#: (the rule set's is ``corpus.RULE_SEED``).
 RAMP_SEED = 11
 CORPUS_SEED = 97
 
@@ -73,8 +73,6 @@ class BenchConfig:
     def __post_init__(self) -> None:
         if not (1 <= self.base_rule_count <= self.final_rule_count):
             raise ConfigError("need 1 <= base_rule_count <= final_rule_count")
-        if self.step < 1:
-            raise ConfigError("step must be >= 1")
         if self.runs_per_step < 1:
             raise ConfigError("runs_per_step must be >= 1")
         if self.warmup_runs < 0:
@@ -107,6 +105,8 @@ def step_schedule(base: int, final: int, step: int) -> list[int]:
     >>> step_schedule(409, 849, 50)[:3]
     [409, 459, 509]
     """
+    if step < 1:
+        raise ConfigError("step must be >= 1")
     counts = [base]
     while counts[-1] < final:
         counts.append(min(counts[-1] + step, final))

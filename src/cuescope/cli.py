@@ -81,13 +81,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="rules: rule count; corpus: sentence count")
     p.add_argument("--rules", default=None,
                    help="corpus only: rule file to inject cues from "
-                   "(default: a generated set)")
-    p.add_argument("--rule-seed", type=int, default=7)
+                   f"(default: the first --rule-count rules of seed {corpus_mod.RULE_SEED})")
     p.add_argument("--rule-count", type=int, default=849)
     p.add_argument("--rate", type=float, default=0.3, help="cue injection rate")
-    p.add_argument("--vocab", type=int, default=200)
-    p.add_argument("--min-len", type=int, default=6)
-    p.add_argument("--max-len", type=int, default=14)
     p.add_argument("--output", default="-")
     return parser
 
@@ -230,15 +226,8 @@ def cmd_generate(args: argparse.Namespace) -> int:
     if args.rules is not None:
         ruleset = _load_rules(args.rules)
     else:
-        ruleset = corpus_mod.generate_rules(args.rule_seed, args.rule_count)
-    config = corpus_mod.GeneratorConfig(
-        seed=args.seed,
-        sentence_count=args.count,
-        vocab_size=args.vocab,
-        min_len=args.min_len,
-        max_len=args.max_len,
-        cue_injection_rate=args.rate,
-    )
+        ruleset = corpus_mod.generate_rules(corpus_mod.RULE_SEED, args.rule_count)
+    config = corpus_mod.GeneratorConfig(args.seed, args.count, args.rate)
     records = corpus_mod.generate_corpus(config, ruleset)
     with _open_out(args.output) as out:
         corpus_mod.write_corpus(records, out)

@@ -28,7 +28,7 @@ import random
 from dataclasses import dataclass, field
 from itertools import repeat
 from json.encoder import encode_basestring
-from typing import IO, Iterable, Iterator, Sequence
+from typing import IO, Iterable, Iterator
 
 from . import engine
 from .engine import ConceptSpan, ContextAnnotation, InvalidSpan
@@ -58,9 +58,12 @@ DIMENSION_VALUES = {
 #: sub-phrase matches rare.
 RULE_VOCAB = tuple(f"cue{i:03d}" for i in range(1000))
 
-
-def _filler_vocab(size: int) -> tuple[str, ...]:
-    return tuple(f"w{i:03d}" for i in range(size))
+#: The words generated sentences are made of, and their length before a
+#: cue is injected.
+FILLER_VOCAB = tuple(f"w{i:03d}" for i in range(200))
+MIN_LEN, MAX_LEN = 6, 14
+#: Seed of the rule set ``generate corpus`` and the scaling bench draw cues from.
+RULE_SEED = 7
 
 
 class CorpusError(ValueError):
@@ -121,14 +124,15 @@ def _record_from_obj(obj: object, line_no: int, line: str) -> CorpusRecord:
     return CorpusRecord(tokens, tuple.__new__(ConceptSpan, concept), gold, line_no)
 
 
-def iter_corpus(source: str | os.PathLike | IO | Iterable[str | bytes]) -> Iterator[CorpusRecord]:
+def iter_corpus(source: str | os.PathLike | Iterable[str]) -> Iterator[CorpusRecord]:
     """Yield the records of a JSON-lines corpus one at a time, from a path,
-    a stream, or an iterable of lines (``str`` or UTF-8 ``bytes``).
+    a text stream, or an iterable of lines.
 
     Structure is validated here; span validity against the sentence is
     the engine's per-record concern, so files with out-of-range concepts
     still load.  One byte-order mark at the start of the first line is
-    ignored.  A malformed line, including one that is not UTF-8, raises
+    ignored.  A malformed line, including one that is not UTF-8 (read
+    through :func:`open_corpus` as lone surrogates), raises
     :class:`CorpusError` naming its line number once every record before
     it has been yielded.
     """
@@ -146,13 +150,11 @@ def open_corpus(path: str | os.PathLike | int) -> IO[str]:
     return open(path, encoding="utf-8", errors="surrogateescape", closefd=not isinstance(path, int))
 
 
-def _iter_lines(lines: Iterable[str | bytes]) -> Iterator[CorpusRecord]:
+def _iter_lines(lines: Iterable[str]) -> Iterator[CorpusRecord]:
     # the C scanner behind ``json.loads``, called directly; the handlers
     # below give the messages ``json.loads`` gives for the same line
     scan = json.JSONDecoder().scan_once
     for line_no, line in enumerate(lines, start=1):
-        if type(line) is bytes:
-            line = line.decode("utf-8", "surrogateescape")
         if not line.isascii():
             try:
                 line.encode("utf-8")
@@ -247,50 +249,31 @@ def annotated_line(record: CorpusRecord, result: ContextAnnotation | InvalidSpan
 
 @dataclass(frozen=True)
 class GeneratorConfig:
-    """Knobs for the synthetic corpus generator."""
+    """The corpus generator's seed, sentence count and cue injection rate;
+    the rest is fixed by ``FILLER_VOCAB`` and ``MIN_LEN``/``MAX_LEN``."""
 
     seed: int
     sentence_count: int
-    vocab_size: int = 200
-    min_len: int = 6
-    max_len: int = 14
     cue_injection_rate: float = 0.3
 
     def __post_init__(self) -> None:
-        if self.sentence_count <= 0 or self.vocab_size <= 0:
+        if self.sentence_count <= 0:
             raise ConfigError("counts must be positive")
-        if not (1 <= self.min_len <= self.max_len):
-            raise ConfigError(
-                f"impossible sentence length range [{self.min_len}, {self.max_len}]"
-            )
         if not (0.0 <= self.cue_injection_rate <= 1.0):
             raise ConfigError("cue_injection_rate must be in [0, 1]")
 
 
-def generate_rules(
-    seed: int,
-    count: int,
-    *,
-    cue_types: Sequence[CueType] = (CueType.TRIGGER, CueType.PSEUDO, CueType.TERMINATION),
-    values: Sequence[RuleValue] = tuple(RuleValue),
-    wildcard_rate: float = 0.05,
-) -> RuleSet:
-    """Deterministic synthetic rule set: phrases of 1-5 tokens over a fixed
-    vocabulary, ``wildcard_rate`` of them carrying one wildcard, mixed cue
-    types, directions and values.
-
-    For a fixed configuration the generator has the prefix property: the
-    first k rules are identical for any count >= k.
+def generate_rules(seed: int, count: int) -> RuleSet:
+    """Deterministic synthetic rule set: phrases of 1-5 words of
+    ``RULE_VOCAB``, 1 in 20 multi-word ones with one wildcard, and cue
+    types, values and directions weighted in the order their enums declare
+    them (trigger/pseudo/termination at 70/10/20, negated ... hypothetical
+    at 40/15/20/15/10).  The first k rules are the same for any count >= k.
     """
     if count < 1:
         raise ConfigError("rule count must be >= 1")
     rng = random.Random(seed)
-    type_weights = {CueType.TRIGGER: 70, CueType.PSEUDO: 10, CueType.TERMINATION: 20}
-    value_weights = {
-        RuleValue.NEGATED: 40, RuleValue.POSSIBLE: 15, RuleValue.NONPATIENT: 20,
-        RuleValue.HISTORICAL: 15, RuleValue.HYPOTHETICAL: 10,
-    }
-    directions = (Direction.FORWARD, Direction.BACKWARD, Direction.BIDIRECTIONAL)
+    cue_types, values, directions = tuple(CueType), tuple(RuleValue), tuple(Direction)
     seen: set[tuple] = set()
     rules: list[ContextRule] = []
     while len(rules) < count:
@@ -298,10 +281,10 @@ def generate_rules(
         phrase = [rng.choice(RULE_VOCAB) for _ in range(length)]
         # wildcards never lead a phrase: a bare or leading wildcard would
         # fire on every token
-        if length >= 2 and rng.random() < wildcard_rate:
+        if length >= 2 and rng.random() < 0.05:
             phrase[rng.randrange(1, length)] = WILDCARD
-        cue_type = rng.choices(list(cue_types), weights=[type_weights[t] for t in cue_types])[0]
-        value = rng.choices(list(values), weights=[value_weights[v] for v in values])[0]
+        cue_type = rng.choices(cue_types, weights=(70, 10, 20))[0]
+        value = rng.choices(values, weights=(40, 15, 20, 15, 10))[0]
         direction = rng.choices(directions, weights=(50, 30, 20))[0]
         window = rng.choice((5, 10, 15, 20, 30))
         rule = ContextRule(
@@ -321,33 +304,32 @@ def generate_corpus(config: GeneratorConfig, ruleset: RuleSet) -> list[CorpusRec
     rate, and gold labels computed by the naive engine.
     """
     rng = random.Random(config.seed)
-    vocab = _filler_vocab(config.vocab_size)
     injectable = [
         r for r in ruleset
         if r.cue_type is CueType.TRIGGER and r.window >= 1
     ]
     records = []
     for _ in range(config.sentence_count):
-        length = rng.randint(config.min_len, config.max_len)
-        tokens = [rng.choice(vocab) for _ in range(length)]
+        length = rng.randint(MIN_LEN, MAX_LEN)
+        tokens = [rng.choice(FILLER_VOCAB) for _ in range(length)]
         concept_len = rng.randint(1, min(3, length))
         concept_start = rng.randint(0, length - concept_len)
         concept = ConceptSpan(concept_start, concept_start + concept_len)
         if injectable and rng.random() < config.cue_injection_rate:
             rule = rng.choice(injectable)
-            cue = [rng.choice(vocab) if t == WILDCARD else t for t in rule.phrase]
+            cue = [rng.choice(FILLER_VOCAB) if t == WILDCARD else t for t in rule.phrase]
             gap = rng.randint(0, min(2, rule.window - 1))
             before = rule.direction is Direction.FORWARD or (
                 rule.direction is Direction.BIDIRECTIONAL and rng.random() < 0.5
             )
             if before:
                 at = concept.start
-                tokens[at:at] = cue + [rng.choice(vocab) for _ in range(gap)]
+                tokens[at:at] = cue + [rng.choice(FILLER_VOCAB) for _ in range(gap)]
                 shift = len(cue) + gap
                 concept = ConceptSpan(concept.start + shift, concept.end + shift)
             else:
                 at = concept.end
-                tokens[at:at] = [rng.choice(vocab) for _ in range(gap)] + cue
+                tokens[at:at] = [rng.choice(FILLER_VOCAB) for _ in range(gap)] + cue
         annotation = engine.annotate(tokens, concept, ruleset, trie=None)
         gold = {
             "negation": annotation.negation.value,

@@ -8,7 +8,6 @@ import pytest
 
 from cuescope import bench
 from cuescope.bench import (
-    RULE_SEED,
     BenchConfig,
     BenchReport,
     BenchRow,
@@ -23,9 +22,9 @@ from cuescope.bench import (
 )
 from cuescope.cli import main as cli_main
 from cuescope.corpus import (
-    ConfigError, GeneratorConfig, generate_corpus, generate_rules, write_corpus,
+    RULE_SEED, ConfigError, GeneratorConfig, generate_corpus, generate_rules, write_corpus,
 )
-from cuescope.rules import CueType, RuleValue
+from cuescope.rules import WILDCARD, CueType, RuleSet, RuleValue
 
 
 def tiny_config(**kwargs):
@@ -44,6 +43,16 @@ def test_default_schedule_matches_ramp_steps():
 
 def test_schedule_single_step():
     assert step_schedule(409, 409, 50) == [409]
+
+
+def test_a_step_of_zero_is_a_config_error():
+    # every ramp goes through step_schedule, which would otherwise loop forever
+    with pytest.raises(ConfigError, match="^step must be >= 1$"):
+        step_schedule(409, 849, 0)
+    with pytest.raises(ConfigError, match="^step must be >= 1$"):
+        run_accuracy_ramp(generate_rules(7, 20), [], base=10, step=0, ramp_seed=3)
+    with pytest.raises(ConfigError, match="^step must be >= 1$"):
+        run_ramp(tiny_config(step=0))
 
 
 def test_ramp_rule_sets_deterministic_and_prefix_preserving():
@@ -180,8 +189,6 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         tiny_config(base_rule_count=50, final_rule_count=30)
     with pytest.raises(ConfigError):
-        tiny_config(step=0)
-    with pytest.raises(ConfigError):
         tiny_config(runs_per_step=0)
 
 
@@ -195,8 +202,11 @@ def test_spearman_basics():
 
 
 def test_accuracy_ramp_reaches_one_on_self_consistent_gold():
-    full = generate_rules(13, 40, cue_types=(CueType.TRIGGER,),
-                          values=(RuleValue.NEGATED,), wildcard_rate=0.0)
+    full = RuleSet.from_rules(
+        r for r in generate_rules(13, 150)
+        if r.cue_type is CueType.TRIGGER and r.value is RuleValue.NEGATED
+        and WILDCARD not in r.phrase
+    )
     records = generate_corpus(
         GeneratorConfig(seed=23, sentence_count=150, cue_injection_rate=0.4), full
     )
@@ -206,12 +216,28 @@ def test_accuracy_ramp_reaches_one_on_self_consistent_gold():
     assert all(b >= a - 1e-12 for a, b in zip(f_series, f_series[1:]))
 
 
-def test_accuracy_ramp_script_reaches_one(capsys):
+def accuracy_ramp_script():
+    """The accuracy script's ``main``, loaded but not run as ``__main__``."""
     script = Path(__file__).resolve().parents[1] / "scripts" / "run_accuracy_ramp.py"
-    main = runpy.run_path(str(script))["main"]  # loaded, not run as __main__
-    argv = ["--base", "5", "--final", "15", "--step", "5", "--repeats", "2", "--sentences", "20"]
-    assert main(argv) == 0
+    return runpy.run_path(str(script))["main"]
+
+
+SCRIPT_ARGV = ["--base", "5", "--final", "15", "--step", "5", "--repeats", "2", "--sentences", "20"]
+
+
+def test_accuracy_ramp_script_reaches_one(capsys):
+    assert accuracy_ramp_script()(SCRIPT_ARGV) == 0
     # the last row: rule count, then "mean (sd)" for negated, possible, other
     last = capsys.readouterr().out.splitlines()[-1].split()
     assert last[0] == "15"
     assert last[1::2] == ["1.0000"] * 3
+
+
+@pytest.mark.parametrize("bad, message", [
+    (("--step", "0"), "step must be >= 1"),
+    (("--repeats", "0"), "repeats must be >= 1"),
+    (("--sentences", "0"), "counts must be positive"),
+])
+def test_accuracy_ramp_script_reports_a_bad_value_in_one_line(capsys, bad, message):
+    assert accuracy_ramp_script()([*SCRIPT_ARGV, *bad]) == 3
+    assert capsys.readouterr() == ("", f"error: {message}\n")

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import random
@@ -519,6 +520,11 @@ def test_bench_reads_a_corpus_file(tmp_path, capsys):
     assert "error: " in capsys.readouterr().err
 
 
+def test_bench_step_of_zero_exits_3(capsys):
+    assert run_cli("bench", "--step", "0") == 3
+    assert capsys.readouterr() == ("", "error: step must be >= 1\n")
+
+
 def test_bench_table_format(capsys):
     assert run_cli("bench", "--base", "10", "--final", "10", "--runs", "1",
                    "--warmup", "0", "--corpus-size", "10",
@@ -535,6 +541,20 @@ def test_generate_rules_deterministic(capsys):
     assert run_cli("generate", "rules", "--seed", "7", "--count", "25") == 0
     assert capsys.readouterr().out == first
     assert len(first.splitlines()) == 25
+
+
+@pytest.mark.parametrize("argv, digest", [
+    # the rule file of the scaling ramp (C2/C3) and of every perfbench workload
+    (("rules", "--seed", "7", "--count", "849"),
+     "1e0839795b6f1d54d7454a45d4146b4c9e48860cc1c1ca0d71266900ee335c85"),
+    # the corpus bench times by default
+    (("corpus", "--seed", "97", "--count", "1000", "--rule-count", "409"),
+     "1b3637b4ff9df453b994a6b0d4a6dfa1582534485ab24273be23096ee424cbde"),
+])
+def test_generate_reference_data_is_pinned(capsys, argv, digest):
+    # a drift in any generator constant changes these bytes
+    assert run_cli("generate", *argv) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == digest
 
 
 def test_generate_corpus_round_trips(tmp_path, capsys):
@@ -555,7 +575,7 @@ def test_generate_corpus_with_rule_file(tmp_path, paper_rules, capsys):
 
 @pytest.mark.parametrize("bad, code", [
     (("--rules", "missing.tsv"), 2),
-    (("--min-len", "9", "--max-len", "3"), 3),
+    (("--rate", "1.5"), 3),
 ])
 def test_generate_leaves_output_alone_on_bad_input(tmp_path, monkeypatch, bad, code):
     monkeypatch.chdir(tmp_path)
