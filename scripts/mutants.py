@@ -135,7 +135,32 @@ MUTANTS: list[tuple[str, str, str]] = [
     ("another wildcard rate",
      "if length >= 2 and rng.random() < 0.05:",
      "if length >= 2 and rng.random() < 0.04:"),
+    # the types: immutable, and equal by the fields that count
+    ("CorpusRecord equality compares line_no",
+     "return (self.tokens, self.concept, self.gold) == (other.tokens, other.concept, other.gold)",
+     "return (self.tokens, self.concept, self.gold, self.line_no) == "
+     "(other.tokens, other.concept, other.gold, other.line_no)"),
+    ("RuleSet equality ignores the rules",
+     "return self.rules == other.rules",
+     "return True"),
+    ("an assignable RuleSet.table",
+     '__slots__ = ("rules", "table")',
+     '__slots__ = ("rules", "table")\n\n'
+     "    def __setattr__(self, name, value):\n"
+     '        if name != "table":\n'
+     "            _Frozen.__setattr__(self, name, value)\n"
+     "        object.__setattr__(self, name, value)"),
+    ("only a space rejected in a phrase token",
+     "if tok.split() != [tok]:",
+     'if " " in tok:'),
+    # start-up
+    ("evaluate imported at the top of cli.py",
+     "from . import corpus as corpus_mod\n",
+     "from . import corpus as corpus_mod\nfrom . import evaluate  # noqa: F401\n"),
     # the scaling bench
+    ("ramp bounds not checked",
+     "if not (1 <= base <= final):",
+     "if False:"),
     ("no final-speedup check",
      "if final.speedup_vs_naive < FINAL_SPEEDUP_MIN:",
      "if False:"),

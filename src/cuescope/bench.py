@@ -71,8 +71,6 @@ class BenchConfig:
     corpus_size: int = 1000
 
     def __post_init__(self) -> None:
-        if not (1 <= self.base_rule_count <= self.final_rule_count):
-            raise ConfigError("need 1 <= base_rule_count <= final_rule_count")
         if self.runs_per_step < 1:
             raise ConfigError("runs_per_step must be >= 1")
         if self.warmup_runs < 0:
@@ -100,11 +98,13 @@ class BenchReport:
 
 def step_schedule(base: int, final: int, step: int) -> list[int]:
     """Rule counts per step: base, base+step, ... final (last step may be
-    shorter).
+    shorter).  Every ramp goes through here, and so through its checks.
 
     >>> step_schedule(409, 849, 50)[:3]
     [409, 459, 509]
     """
+    if not (1 <= base <= final):
+        raise ConfigError("need 1 <= base_rule_count <= final_rule_count")
     if step < 1:
         raise ConfigError("step must be >= 1")
     counts = [base]
@@ -150,6 +150,8 @@ def run_ramp(config: BenchConfig) -> BenchReport:
     cells, so slow phases of the host machine spread evenly over the ramp
     instead of biasing the steps that happen to run last.
     """
+    # a bad ramp fails before the rules and the corpus are generated
+    step_schedule(config.base_rule_count, config.final_rule_count, config.step)
     full = generate_rules(RULE_SEED, config.final_rule_count)
     records = _load_bench_corpus(config, full)
     pairs: list[tuple[list[str], ConceptSpan]] = [(r.tokens, r.concept) for r in records]

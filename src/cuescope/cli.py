@@ -24,7 +24,6 @@ from . import corpus as corpus_mod
 # ``annotate`` is not called here, but perfbench/tracing.py wraps it as
 # ``cli.annotate``, so the name stays.
 from .engine import ContextAnnotation, InvalidSpan, annotate, annotate_records  # noqa: F401
-from .evaluate import score
 from .matcher import RuleTrie, build_trie
 from .rules import DuplicateRule, MalformedRule, RuleSet, load_rules, serialize_rules
 
@@ -175,6 +174,8 @@ def _gold_pairs(
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
+    from .evaluate import score  # only here, as bench is, so annotate starts faster
+
     ruleset = _load_rules(args.rules)
     trie = build_trie(ruleset) if args.engine == "trie" else None
     with _open_in(args.gold) as source:

@@ -25,10 +25,9 @@ from __future__ import annotations
 import json
 import os
 import random
-from dataclasses import dataclass, field
 from itertools import repeat
 from json.encoder import encode_basestring
-from typing import IO, Iterable, Iterator
+from typing import IO, Iterable, Iterator, NamedTuple
 
 from . import engine
 from .engine import ConceptSpan, ContextAnnotation, InvalidSpan
@@ -74,7 +73,6 @@ class ConfigError(ValueError):
     """Generator or benchmark configuration that cannot be satisfied."""
 
 
-@dataclass(slots=True)
 class CorpusRecord:
     """One evaluation unit: a tokenized sentence, the concept span within
     it, and optional gold modifier values (strings, keyed by dimension).
@@ -85,10 +83,29 @@ class CorpusRecord:
     cheaply; nothing here changes one after it is built.
     """
 
-    tokens: list[str]
-    concept: ConceptSpan
-    gold: dict[str, str] | None = None
-    line_no: int | None = field(default=None, compare=False)
+    __slots__ = ("tokens", "concept", "gold", "line_no")
+
+    def __init__(
+        self, tokens: list[str], concept: ConceptSpan,
+        gold: dict[str, str] | None = None, line_no: int | None = None,
+    ) -> None:
+        self.tokens = tokens
+        self.concept = concept
+        self.gold = gold
+        self.line_no = line_no
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not CorpusRecord:
+            return NotImplemented
+        return (self.tokens, self.concept, self.gold) == (other.tokens, other.concept, other.gold)
+
+    __hash__ = None  # records are mutable
+
+    def __repr__(self) -> str:
+        return (
+            f"CorpusRecord(tokens={self.tokens!r}, concept={self.concept!r}, "
+            f"gold={self.gold!r}, line_no={self.line_no!r})"
+        )
 
 
 def _record_from_obj(obj: object, line_no: int, line: str) -> CorpusRecord:
@@ -247,20 +264,27 @@ def annotated_line(record: CorpusRecord, result: ContextAnnotation | InvalidSpan
     )
 
 
-@dataclass(frozen=True)
-class GeneratorConfig:
-    """The corpus generator's seed, sentence count and cue injection rate;
-    the rest is fixed by ``FILLER_VOCAB`` and ``MIN_LEN``/``MAX_LEN``."""
-
+class _GeneratorFields(NamedTuple):
     seed: int
     sentence_count: int
-    cue_injection_rate: float = 0.3
+    cue_injection_rate: float
 
-    def __post_init__(self) -> None:
-        if self.sentence_count <= 0:
+
+class GeneratorConfig(_GeneratorFields):
+    """The corpus generator's seed, sentence count and cue injection rate;
+    the rest is fixed by ``FILLER_VOCAB`` and ``MIN_LEN``/``MAX_LEN``.
+    A ``NamedTuple``, checked when built."""
+
+    __slots__ = ()
+
+    def __new__(
+        cls, seed: int, sentence_count: int, cue_injection_rate: float = 0.3
+    ) -> "GeneratorConfig":
+        if sentence_count <= 0:
             raise ConfigError("counts must be positive")
-        if not (0.0 <= self.cue_injection_rate <= 1.0):
+        if not (0.0 <= cue_injection_rate <= 1.0):
             raise ConfigError("cue_injection_rate must be in [0, 1]")
+        return tuple.__new__(cls, (seed, sentence_count, cue_injection_rate))
 
 
 def generate_rules(seed: int, count: int) -> RuleSet:

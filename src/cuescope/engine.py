@@ -40,7 +40,6 @@ case-insensitive; :func:`resolve_scopes` reads only token counts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -87,22 +86,23 @@ class Scope(NamedTuple):
     end: int
 
 
-@dataclass(frozen=True)
-class ContextAnnotation:
+class ContextAnnotation(NamedTuple):
     """Per-concept result: one value per dimension plus the cue that set it.
 
     ``evidence`` holds an entry for exactly the dimensions with a
     non-default value.  It is a read-only mapping in every result the
     engine returns, so that a result may be shared: every concept no scope
     reaches gets the same object, equal to ``ContextAnnotation()``.
-    Results pickle and copy (the copy gets a new read-only mapping), but
-    ``dataclasses.asdict`` cannot copy the mapping; use ``dict(evidence)``.
+    A ``NamedTuple``: immutable, and equal to the plain tuple of its
+    fields.  Results pickle and copy (the copy gets a new read-only
+    mapping), but ``hash`` fails on the mapping, and ``_asdict`` returns
+    it as it is; read it with ``dict(evidence)``.
     """
 
     negation: NegationStatus = NegationStatus.AFFIRMED
     experiencer: ExperiencerStatus = ExperiencerStatus.PATIENT
     temporality: TemporalityStatus = TemporalityStatus.RECENT
-    evidence: Mapping[Dimension, CueMatch] = field(default_factory=lambda: MappingProxyType({}))
+    evidence: Mapping[Dimension, CueMatch] = MappingProxyType({})
 
     def __reduce__(self):
         # a mapping proxy cannot be pickled or copied, so rebuild it from a dict
@@ -111,7 +111,7 @@ class ContextAnnotation:
 
 def _annotation(negation, experiencer, temporality, evidence: dict) -> ContextAnnotation:
     """A result whose ``evidence`` is a read-only view of ``evidence``."""
-    return ContextAnnotation(negation, experiencer, temporality, MappingProxyType(evidence))
+    return _new(ContextAnnotation, (negation, experiencer, temporality, MappingProxyType(evidence)))
 
 
 _PSEUDO, _TRIGGER = CueType.PSEUDO, CueType.TRIGGER

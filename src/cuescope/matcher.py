@@ -25,10 +25,9 @@ lowercased by the caller.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
-from .rules import WILDCARD, RuleSet
+from .rules import WILDCARD, RuleSet, _Frozen
 
 
 class CueMatch(NamedTuple):
@@ -58,13 +57,15 @@ class TrieNode:
         self.terminal_rules: list[int] = []
 
 
-@dataclass(frozen=True, slots=True)
-class RuleTrie:
+class RuleTrie(_Frozen):
     """The phrase index of ``ruleset``, which it keeps so that callers can
     check a trie is used with the rules it indexes."""
 
-    root: TrieNode
-    ruleset: RuleSet = field(repr=False)
+    __slots__ = ("root", "ruleset")
+
+    def __init__(self, root: TrieNode, ruleset: RuleSet) -> None:
+        object.__setattr__(self, "root", root)
+        object.__setattr__(self, "ruleset", ruleset)
 
 
 def build_trie(ruleset: RuleSet) -> RuleTrie:

@@ -19,10 +19,8 @@ line endings are all accepted, and a leading byte-order mark is ignored.
 
 from __future__ import annotations
 
-import dataclasses
 import io
 import os
-from dataclasses import dataclass, field
 from enum import Enum
 from typing import IO, Iterable, Iterator, NamedTuple
 
@@ -118,15 +116,20 @@ class DuplicateRule(ValueError):
     """Two rules share the same (phrase, direction, cue_type, value)."""
 
 
-@dataclass(frozen=True, slots=True)
-class ContextRule:
-    """One lexical cue.
+class _Frozen:
+    """Base of a slots class whose fields are set once, in ``__init__``
+    through ``object.__setattr__``, and never again."""
 
-    ``id`` is the rule's ordinal within its rule set (assigned at load).
-    ``phrase`` is a non-empty tuple of lowercase, whitespace-free tokens;
-    a token may be the :data:`WILDCARD` marker.
-    """
+    __slots__ = ()
 
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot assign {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot delete {name!r}")
+
+
+class _RuleFields(NamedTuple):
     id: int
     phrase: tuple[str, ...]
     direction: Direction
@@ -134,16 +137,34 @@ class ContextRule:
     value: RuleValue
     window: int
 
-    def __post_init__(self) -> None:
-        if not self.phrase:
+
+class ContextRule(_RuleFields):
+    """One lexical cue.
+
+    ``id`` is the rule's ordinal within its rule set (assigned at load).
+    ``phrase`` is a non-empty tuple of lowercase, whitespace-free tokens;
+    a token may be the :data:`WILDCARD` marker.  A ``NamedTuple``, checked
+    when built; ``rule._replace(id=i)`` copies it with another id.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls, id: int, phrase: tuple[str, ...], direction: Direction,
+        cue_type: CueType, value: RuleValue, window: int,
+    ) -> "ContextRule":
+        if not phrase:
             raise ValueError("rule phrase must have at least one token")
-        for tok in self.phrase:
-            if not tok or any(c.isspace() for c in tok):
+        for tok in phrase:
+            # split() drops the token if it is empty and cuts it at any
+            # character for which str.isspace() holds
+            if tok.split() != [tok]:
                 raise ValueError(f"bad phrase token {tok!r}")
             if tok != tok.lower():
                 raise ValueError(f"phrase token {tok!r} is not lowercase")
-        if self.window < 0:
-            raise ValueError(f"window must be >= 0, got {self.window}")
+        if window < 0:
+            raise ValueError(f"window must be >= 0, got {window}")
+        return tuple.__new__(cls, (id, phrase, direction, cue_type, value, window))
 
     @property
     def dimension(self) -> Dimension:
@@ -183,18 +204,29 @@ def _entry(rule: ContextRule) -> RuleEntry:
     )
 
 
-@dataclass(frozen=True, slots=True)
-class RuleSet:
+class RuleSet(_Frozen):
     """An ordered, duplicate-free collection of rules with dense ids 0..n-1.
 
-    ``table[i]`` is rule ``i``'s :class:`RuleEntry`, built once here.
+    ``table[i]`` is rule ``i``'s :class:`RuleEntry`, built once here.  Two
+    rule sets are equal when their rules are.
     """
 
-    rules: tuple[ContextRule, ...]
-    table: tuple[RuleEntry, ...] = field(init=False, repr=False, compare=False)
+    __slots__ = ("rules", "table")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "table", tuple(_entry(rule) for rule in self.rules))
+    def __init__(self, rules: tuple[ContextRule, ...]) -> None:
+        object.__setattr__(self, "rules", rules)
+        object.__setattr__(self, "table", tuple(map(_entry, rules)))
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not RuleSet:
+            return NotImplemented
+        return self.rules == other.rules
+
+    def __hash__(self) -> int:
+        return hash(self.rules)
+
+    def __repr__(self) -> str:
+        return f"RuleSet(rules={self.rules!r})"
 
     def __len__(self) -> int:
         return len(self.rules)
@@ -231,7 +263,7 @@ def _without_duplicates(
                 )
             (line_no, text), (first_line_no, _) = lines[i], lines[first]
             raise DuplicateRule(f"line {line_no} duplicates line {first_line_no}: {text!r}")
-        out.append(rule if rule.id == i else dataclasses.replace(rule, id=i))
+        out.append(rule if rule.id == i else rule._replace(id=i))
     return RuleSet(rules=tuple(out))
 
 
@@ -250,7 +282,7 @@ def parse_rule_line(line: str, rule_id: int = 0, line_no: int | None = None) -> 
     phrase = tuple(cols[0].strip().lower().split(" "))
     if phrase == ("",):
         raise MalformedRule("empty phrase", line_no=line_no, column=1)
-    if any(not tok for tok in phrase):
+    if "" in phrase:
         raise MalformedRule(
             f"phrase {cols[0]!r} has empty tokens (double space?)", line_no=line_no, column=1
         )

@@ -55,6 +55,18 @@ def test_a_step_of_zero_is_a_config_error():
         run_ramp(tiny_config(step=0))
 
 
+@pytest.mark.parametrize("base, final", [(30, 20), (0, 20)])
+def test_a_base_outside_one_to_final_is_a_config_error(base, final):
+    # without the check, 30 > 20 gives one step labelled 30 over 20 rules
+    message = "^need 1 <= base_rule_count <= final_rule_count$"
+    with pytest.raises(ConfigError, match=message):
+        step_schedule(base, final, 5)
+    with pytest.raises(ConfigError, match=message):
+        run_accuracy_ramp(generate_rules(7, final), [], base=base, step=5, ramp_seed=3)
+    with pytest.raises(ConfigError, match=message):
+        run_ramp(tiny_config(base_rule_count=base, final_rule_count=final))
+
+
 def test_ramp_rule_sets_deterministic_and_prefix_preserving():
     full = generate_rules(7, 60)
     first = [(count, tuple(r.key() for r in rs)) for count, rs in
@@ -186,10 +198,11 @@ def test_check_report_flags_weak_speedup():
 
 
 def test_config_validation():
-    with pytest.raises(ConfigError):
-        tiny_config(base_rule_count=50, final_rule_count=30)
+    # the rule counts are checked by step_schedule, as the step is
     with pytest.raises(ConfigError):
         tiny_config(runs_per_step=0)
+    with pytest.raises(ConfigError):
+        tiny_config(warmup_runs=-1)
 
 
 def test_spearman_basics():
@@ -237,6 +250,7 @@ def test_accuracy_ramp_script_reaches_one(capsys):
     (("--step", "0"), "step must be >= 1"),
     (("--repeats", "0"), "repeats must be >= 1"),
     (("--sentences", "0"), "counts must be positive"),
+    (("--base", "30", "--final", "20"), "need 1 <= base_rule_count <= final_rule_count"),
 ])
 def test_accuracy_ramp_script_reports_a_bad_value_in_one_line(capsys, bad, message):
     assert accuracy_ramp_script()([*SCRIPT_ARGV, *bad]) == 3

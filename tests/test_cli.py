@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import random
 import subprocess
 import sys
@@ -525,6 +526,11 @@ def test_bench_step_of_zero_exits_3(capsys):
     assert capsys.readouterr() == ("", "error: step must be >= 1\n")
 
 
+def test_bench_base_above_final_exits_3(capsys):
+    assert run_cli("bench", "--base", "30", "--final", "20") == 3
+    assert capsys.readouterr() == ("", "error: need 1 <= base_rule_count <= final_rule_count\n")
+
+
 def test_bench_table_format(capsys):
     assert run_cli("bench", "--base", "10", "--final", "10", "--runs", "1",
                    "--warmup", "0", "--corpus-size", "10",
@@ -596,6 +602,21 @@ def test_generate_corpus_may_overwrite_its_rule_file(tmp_path, paper_rules):
     tokens = {t for line in elsewhere.read_text(encoding="utf-8").splitlines()
               for t in json.loads(line)["tokens"]}
     assert tokens & set(PAPER_RULES.split())  # cues injected from the rules
+
+
+def test_the_cli_starts_without_dataclasses_or_the_other_commands():
+    # a fresh interpreter, since this one has imported everything already;
+    # dataclasses pulls in inspect, and evaluate (with csv) and bench load
+    # only for their own commands
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, cuescope.cli; print(*sys.modules)"],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert "cuescope.cli" in loaded
+    assert not loaded & {"dataclasses", "inspect", "csv", "cuescope.evaluate", "cuescope.bench"}
 
 
 def test_console_entry_point_runs():

@@ -202,6 +202,16 @@ def test_read_corpus_yields_concept_spans():
     assert type(concept) is ConceptSpan and concept == (0, 2) and concept.end == 2
 
 
+def test_records_are_equal_whatever_line_they_were_read_from():
+    (read,) = iter_corpus(io.StringIO('\n\n{"tokens": ["a"], "concept": [0, 1], "gold": {}}\n'))
+    assert read.line_no == 3
+    assert read == CorpusRecord(["a"], ConceptSpan(0, 1), {}) == CorpusRecord(["a"], (0, 1), {}, 9)
+    for other in (CorpusRecord(["b"], ConceptSpan(0, 1), {}), CorpusRecord(["a"], ConceptSpan(0, 0), {}),
+                  CorpusRecord(["a"], ConceptSpan(0, 1))):
+        assert read != other
+    assert repr(read) == "CorpusRecord(tokens=['a'], concept=ConceptSpan(start=0, end=1), gold={}, line_no=3)"
+
+
 def test_read_corpus_allows_out_of_range_concept():
     # span validity is a per-record engine concern, not a load error
     records = list(iter_corpus(io.StringIO('{"tokens": ["a"], "concept": [0, 9]}\n')))

@@ -246,6 +246,32 @@ def test_results_pickle_and_copy_with_read_only_evidence():
                 clone.evidence[Dimension.NEGATION] = hit.evidence[Dimension.NEGATION]
 
 
+def test_rule_sets_tries_and_results_are_immutable():
+    rs = RuleSet.from_rules([trigger("no")])
+    trie = build_trie(rs)
+    hit = annotate(["no", "mi"], ConceptSpan(1, 2), rs, trie)
+    for obj, names in (
+        (rs, ("rules", "table")), (trie, ("root", "ruleset")), (rs[0], ContextRule._fields),
+        (hit, ContextAnnotation._fields), (ContextAnnotation(), ContextAnnotation._fields),
+    ):
+        for name in (*names, "other"):
+            with pytest.raises(AttributeError):
+                setattr(obj, name, None)
+        for name in names:
+            with pytest.raises(AttributeError):
+                delattr(obj, name)
+    assert (rs.table, trie.ruleset) == (RuleSet.from_rules([trigger("no")]).table, rs)
+
+
+def test_rule_sets_are_equal_when_their_rules_are():
+    rs = RuleSet.from_rules([trigger("no")])
+    same = RuleSet.from_rules([trigger("no")])
+    assert rs == same and hash(rs) == hash(same) and rs is not same
+    assert rs != RuleSet.from_rules([trigger("not")])
+    assert rs != RuleSet.from_rules([trigger("no"), trigger("not")])
+    assert rs != RuleSet(rules=())
+
+
 def test_concept_span_is_a_tuple():
     span = ConceptSpan(1, 2)
     assert span == (1, 2) and (span.start, span.end) == (1, 2)

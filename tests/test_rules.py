@@ -1,4 +1,5 @@
 import io
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
@@ -185,6 +186,21 @@ def test_from_rules_renumbers_dense_ids():
     ]
     ruleset = RuleSet.from_rules(rules)
     assert [r.id for r in ruleset] == [0, 1]
+
+
+def test_phrase_tokens_with_any_whitespace_are_rejected():
+    whitespace = [c for c in map(chr, range(sys.maxunicode + 1)) if c.isspace()]
+    assert {" ", "\t", "\n", "\x1c", "\x85", "\xa0", "\u2028", "\u3000"} <= set(whitespace)
+    for token in ["", *whitespace, *(f"a{c}b" for c in whitespace)]:
+        with pytest.raises(ValueError, match="^bad phrase token"):
+            ContextRule(0, ("ok", token), Direction.FORWARD, CueType.TRIGGER, RuleValue.NEGATED, 3)
+    # in a rule line, a space separates tokens (two make an empty one) and
+    # a tab separates columns
+    inside = [f"{before}a{c}b" for c in whitespace if c not in " \t" for before in ("", "ok ")]
+    for phrase in ["ok  ab", *inside]:
+        with pytest.raises(MalformedRule) as err:
+            parse_rule_line(f"{phrase}\tforward\ttrigger\tnegated\t3", line_no=4)
+        assert (err.value.line_no, err.value.column) == (4, 1), repr(phrase)
 
 
 def test_context_rule_validates_phrase():
