@@ -110,11 +110,17 @@ MUTANTS: list[tuple[str, str, str]] = [
      "return stat.S_ISREG(read.st_mode) and os.path.samestat(read, written)",
      "return os.path.samestat(read, written)"),
     ("an invalid span skipped in evaluate",
-     'raise corpus_mod.CorpusError(f"line {record.line_no}: {prediction}")',
+     'raise CorpusError(f"{where}{prediction}")',
      "continue"),
+    ("an invalid span scored as a default result",
+     'raise CorpusError(f"{where}{prediction}")',
+     "prediction = ContextAnnotation()"),
     ("the whole gold file read before scoring",
-     "score(_gold_pairs(source, ruleset, trie))",
-     "score(list(_gold_pairs(source, ruleset, trie)))"),
+     "score(_annotated(source, ruleset))",
+     "score(list(_annotated(source, ruleset)))"),
+    ("the CLI annotates through the naive matcher",
+     "for result in annotate_records(pairs, ruleset, build_trie(ruleset)):",
+     "for result in annotate_records(pairs, ruleset, None):"),
     ("annotate opens --output before --input",
      "with _open_in(args.input) as source:",
      "with _open_out(args.output), _open_in(args.input) as source:"),

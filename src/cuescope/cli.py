@@ -6,8 +6,10 @@ Data goes to stdout, diagnostics to stderr.  Exit codes: 0 ok,
 rule file too), 3 data errors, 141 the reader of the output went away.
 
 ``annotate`` and ``evaluate`` read their corpus through one record loop,
-which pairs each record with its result as it streams; ``annotate``
-writes each pair as ``corpus.annotated_line`` forms it.
+which pairs each record with its result as it streams and always matches
+through the trie; ``annotate`` writes each pair as
+``corpus.annotated_line`` forms it, and ``evaluate`` scores each pair
+through ``evaluate.score``.
 """
 
 from __future__ import annotations
@@ -22,9 +24,10 @@ from typing import IO, Iterator
 
 from . import corpus as corpus_mod
 # ``annotate`` is not called here, but perfbench/tracing.py wraps it as
-# ``cli.annotate``, so the name stays.
+# ``cli.annotate`` and perfbench/test_perfbench.py asserts
+# ``cli.annotate is annotate``, so the name stays.
 from .engine import ContextAnnotation, InvalidSpan, annotate, annotate_records  # noqa: F401
-from .matcher import RuleTrie, build_trie
+from .matcher import build_trie
 from .rules import DuplicateRule, MalformedRule, RuleSet, load_rules, serialize_rules
 
 EXIT_OK = 0
@@ -47,14 +50,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rules", required=True, help="rule file (tab-delimited)")
     p.add_argument("--input", default="-", help="corpus path or '-' for stdin")
     p.add_argument("--output", default="-", help="output path or '-' for stdout")
-    p.add_argument("--engine", choices=("trie", "naive"), default="trie")
     p.add_argument("--strict", action="store_true",
                    help="exit 1 if any record has an invalid concept span")
 
     p = sub.add_parser("evaluate", help="score predictions against gold labels")
     p.add_argument("--rules", required=True)
     p.add_argument("--gold", required=True, help="gold corpus path or '-'")
-    p.add_argument("--engine", choices=("trie", "naive"), default="trie")
     p.add_argument("--format", choices=("text", "csv"), default="text")
 
     p = sub.add_parser("bench", help="time the trie vs naive matcher over a rule ramp")
@@ -126,20 +127,20 @@ def _writes_to_input(source: IO[str], output: str) -> bool:
 
 
 def _annotated(
-    source: IO[str], ruleset: RuleSet, trie: RuleTrie | None
-) -> Iterator[tuple[corpus_mod.CorpusRecord, ContextAnnotation | InvalidSpan]]:
-    """Each record of ``source`` with its result, one record at a time; a
-    malformed line raises once the records before it are yielded."""
+    source: IO[str], ruleset: RuleSet
+) -> Iterator[tuple[ContextAnnotation | InvalidSpan, corpus_mod.CorpusRecord]]:
+    """Each result with its record of ``source``, one record at a time,
+    matched through one trie built for the run; a malformed line raises
+    once the records before it are yielded."""
     # annotate_records yields each result before it reads the next pair,
     # so ``record`` is the record that ``result`` belongs to
     pairs = (((record := r).tokens, r.concept) for r in corpus_mod.iter_corpus(source))
-    for result in annotate_records(pairs, ruleset, trie):
-        yield record, result
+    for result in annotate_records(pairs, ruleset, build_trie(ruleset)):
+        yield result, record
 
 
 def cmd_annotate(args: argparse.Namespace) -> int:
     ruleset = _load_rules(args.rules)
-    trie = build_trie(ruleset) if args.engine == "trie" else None
     errors = 0
     # the input is opened first, so that a missing input leaves the output
     # untouched, and checked against the output, which opening truncates
@@ -150,7 +151,7 @@ def cmd_annotate(args: argparse.Namespace) -> int:
             )
         with _open_out(args.output) as out:
             write, annotated_line = out.write, corpus_mod.annotated_line
-            for record, result in _annotated(source, ruleset, trie):
+            for result, record in _annotated(source, ruleset):
                 if type(result) is InvalidSpan:
                     errors += 1
                     print(f"line {record.line_no}: {result}", file=sys.stderr)
@@ -161,25 +162,12 @@ def cmd_annotate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _gold_pairs(
-    source: IO[str], ruleset: RuleSet, trie: RuleTrie | None
-) -> Iterator[tuple[ContextAnnotation, corpus_mod.CorpusRecord]]:
-    """Each record of ``source`` with its prediction, one record at a time.
-    An invalid concept span is a data error, raised in file order with the
-    malformed lines."""
-    for record, prediction in _annotated(source, ruleset, trie):
-        if type(prediction) is InvalidSpan:
-            raise corpus_mod.CorpusError(f"line {record.line_no}: {prediction}")
-        yield prediction, record
-
-
 def cmd_evaluate(args: argparse.Namespace) -> int:
     from .evaluate import score  # only here, as bench is, so annotate starts faster
 
     ruleset = _load_rules(args.rules)
-    trie = build_trie(ruleset) if args.engine == "trie" else None
     with _open_in(args.gold) as source:
-        report = score(_gold_pairs(source, ruleset, trie))
+        report = score(_annotated(source, ruleset))
     sys.stdout.write(report.render_csv() if args.format == "csv" else report.render_text())
     return EXIT_OK
 

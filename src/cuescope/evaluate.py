@@ -13,8 +13,8 @@ import csv
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from .corpus import CorpusRecord
-from .engine import ContextAnnotation
+from .corpus import CorpusError, CorpusRecord
+from .engine import ContextAnnotation, InvalidSpan
 
 #: class name -> dimension it is read from
 SCORED_CLASSES = {
@@ -74,14 +74,21 @@ class EvalReport:
         return out.getvalue()
 
 
-def score(pairs: Iterable[tuple[ContextAnnotation, CorpusRecord]]) -> EvalReport:
+def score(pairs: Iterable[tuple[ContextAnnotation | InvalidSpan, CorpusRecord]]) -> EvalReport:
     """Accumulate tp/fp/fn per scored class over ``(prediction, record)``
-    pairs, counting each pair as it arrives."""
+    pairs, counting each pair as it arrives.
+
+    An :class:`InvalidSpan` prediction is a data error: it raises
+    :class:`CorpusError`, prefixed ``line N: `` when the record has a line
+    number, once the pairs before it are scored."""
     report = EvalReport(
         classes={name: ClassMetrics() for name in SCORED_CLASSES},
         skipped={name: 0 for name in SCORED_CLASSES},
     )
     for prediction, record in pairs:
+        if type(prediction) is InvalidSpan:
+            where = "" if record.line_no is None else f"line {record.line_no}: "
+            raise CorpusError(f"{where}{prediction}")
         report.records += 1
         predicted = {
             "negation": prediction.negation.value,

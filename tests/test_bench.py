@@ -22,8 +22,10 @@ from cuescope.bench import (
 )
 from cuescope.cli import main as cli_main
 from cuescope.corpus import (
-    RULE_SEED, ConfigError, GeneratorConfig, generate_corpus, generate_rules, write_corpus,
+    RULE_SEED, ConfigError, CorpusError, CorpusRecord, GeneratorConfig, generate_corpus,
+    generate_rules, write_corpus,
 )
+from cuescope.engine import ConceptSpan
 from cuescope.rules import WILDCARD, CueType, RuleSet, RuleValue
 
 
@@ -227,6 +229,12 @@ def test_accuracy_ramp_reaches_one_on_self_consistent_gold():
     f_series = [s.report.classes["negated"].f for s in steps]
     assert f_series[-1] == 1.0
     assert all(b >= a - 1e-12 for a, b in zip(f_series, f_series[1:]))
+
+
+def test_accuracy_ramp_reports_an_invalid_span_as_a_data_error():
+    records = [CorpusRecord(["a"], ConceptSpan(3, 5))]
+    with pytest.raises(CorpusError, match=r"^concept \[3, 5\) outside token range of length 1$"):
+        run_accuracy_ramp(generate_rules(7, 20), records, base=10, step=10, ramp_seed=3)
 
 
 def accuracy_ramp_script():

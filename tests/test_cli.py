@@ -79,17 +79,24 @@ def test_annotate_negates_concept(tmp_path, starter_rules_path, capsys):
     assert record["pred"]["evidence"]["negation"] == [0, 1]
 
 
-def test_annotate_engines_agree(tmp_path, starter_rules_path, capsys):
-    corpus = write_corpus_file(tmp_path, [
-        {"tokens": ["history", "of", "mi"], "concept": [2, 3]},
-        {"tokens": ["father", "denies", "mi"], "concept": [2, 3]},
-    ])
-    assert run_cli("annotate", "--rules", str(starter_rules_path),
-                   "--input", str(corpus), "--engine", "trie") == 0
-    trie_out = capsys.readouterr().out
-    assert run_cli("annotate", "--rules", str(starter_rules_path),
-                   "--input", str(corpus), "--engine", "naive") == 0
-    assert capsys.readouterr().out == trie_out
+def test_annotate_and_evaluate_never_use_the_naive_matcher(tmp_path, starter_rules_path,
+                                                           hand_gold_path, monkeypatch, capsys):
+    from cuescope import engine
+
+    def naive(*args):
+        raise AssertionError("the naive matcher ran")
+
+    monkeypatch.setattr(engine, "find_matches_naive", naive)
+    corpus = write_corpus_file(tmp_path, [{"tokens": ["father", "denies", "mi"], "concept": [2, 3]}])
+    assert run_cli("annotate", "--rules", str(starter_rules_path), "--input", str(corpus)) == 0
+    assert run_cli("evaluate", "--rules", str(starter_rules_path),
+                   "--gold", str(hand_gold_path)) == 0
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exit_info:
+        run_cli("annotate", "--rules", str(starter_rules_path), "--input", str(corpus),
+                "--engine", "trie")
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --engine trie" in capsys.readouterr().err
 
 
 def test_annotate_empty_corpus(tmp_path, paper_rules, capsys):
@@ -231,19 +238,21 @@ def test_annotate_repeated_sentences_as_per_record_annotate(tmp_path, starter_ru
     assert run_cli("annotate", "--rules", str(starter_rules_path),
                    "--input", str(corpus), "--output", str(output)) == 0
 
-    trie = build_trie(starter_rules)
-    expected, errors, dimensions = [], [], set()
-    for index, record in enumerate(iter_corpus(corpus)):
-        try:
-            result = annotate(record.tokens, record.concept, starter_rules, trie)
-            dimensions.update(result.evidence)
-        except InvalidSpan as err:
-            result = err
-            errors.append(f"line {index + 1}: {err}")
-        expected.append(reference_line(record, result))
-    assert errors and len(dimensions) == 3
-    assert output.read_text(encoding="utf-8") == "".join(expected)
-    assert capsys.readouterr().err.splitlines() == errors
+    stderr = capsys.readouterr().err.splitlines()
+    # against the trie and against the naive scanner, record by record
+    for trie in (build_trie(starter_rules), None):
+        expected, errors, dimensions = [], [], set()
+        for index, record in enumerate(iter_corpus(corpus)):
+            try:
+                result = annotate(record.tokens, record.concept, starter_rules, trie)
+                dimensions.update(result.evidence)
+            except InvalidSpan as err:
+                result = err
+                errors.append(f"line {index + 1}: {err}")
+            expected.append(reference_line(record, result))
+        assert errors and len(dimensions) == 3
+        assert output.read_text(encoding="utf-8") == "".join(expected)
+        assert stderr == errors
 
 
 def test_annotate_is_case_insensitive_and_echoes_tokens(tmp_path, starter_rules_path, capsys):
@@ -627,3 +636,16 @@ def test_console_entry_point_runs():
     )
     assert proc.returncode == 0
     assert len(proc.stdout.splitlines()) == 3
+
+
+def test_console_entry_point_reports_a_usage_error_with_exit_2():
+    # argparse's own exit: `usage: ...` and one error line, no traceback
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; from cuescope.cli import main; sys.exit(main(['annotate']))"],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("usage: ")
+    assert "cuescope annotate: error: the following arguments are required: --rules" in proc.stderr
+    assert "Traceback" not in proc.stderr

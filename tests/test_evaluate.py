@@ -1,11 +1,12 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from cuescope.corpus import CorpusRecord
+from cuescope.corpus import CorpusError, CorpusRecord
 from cuescope.engine import (
     ConceptSpan,
     ContextAnnotation,
     ExperiencerStatus,
+    InvalidSpan,
     NegationStatus,
     annotate,
 )
@@ -104,6 +105,19 @@ def test_render_text_and_csv_shape():
     lines = report.render_csv().splitlines()
     assert lines[0] == "class,tp,fp,fn,precision,recall,f"
     assert len(lines) == 4
+
+
+def test_an_invalid_span_is_a_data_error_named_by_its_line():
+    invalid = InvalidSpan("concept [3, 5) outside token range of length 1")
+    read = CorpusRecord(["a"], ConceptSpan(3, 5), {"negation": "negated"}, line_no=7)
+    with pytest.raises(CorpusError) as err:
+        score([(ann("negated"), rec("negated")), (invalid, read)])
+    assert str(err.value) == "line 7: concept [3, 5) outside token range of length 1"
+    # a record built in code has no line to name
+    with pytest.raises(CorpusError) as err:
+        score([(invalid, CorpusRecord(["a"], ConceptSpan(3, 5)))])
+    assert str(err.value) == "concept [3, 5) outside token range of length 1"
+    assert "line None" not in str(err.value)
 
 
 @given(st.integers(0, 50), st.integers(0, 50), st.integers(0, 50))
