@@ -98,6 +98,22 @@ MUTANTS: list[tuple[str, str, str]] = [
     ("wildcard branches only from the start node",
      "wild = node.wildcard_child",
      "wild = None"),
+    # a sentence with no cue word
+    ("the set test runs with a root wildcard edge",
+     "first_words = None if root.wildcard_child is not None else frozenset(root.children)",
+     "first_words = frozenset(root.children)"),
+    ("the set test leaves out the last token",
+     "first_words.isdisjoint(tokens)",
+     "first_words.isdisjoint(tokens[:-1])"),
+    ("the set test runs before case folding",
+     '    joined = "".join(tokens)\n',
+     "    first_words = None if trie is None else trie._first_words\n"
+     "    if first_words is not None and first_words.isdisjoint(tokens):\n"
+     "        return []\n"
+     '    joined = "".join(tokens)\n'),
+    ("a cue-free run matched again at every record",
+     "if scopes is None:",
+     "if not scopes:"),
     # the engine's result
     ("evidence in dimension order, not cue order",
      "for dim, (_, scope) in best.items():",

@@ -31,9 +31,10 @@ later concept of the run is assigned from.  :func:`annotate` is the
 one-record case.  Scope resolution reads each rule through
 ``RuleSet.table``, built once per rule set, once per match; it tests
 pseudo overlaps and clamps windows with plain loops and comparisons, and
-builds each :class:`Scope` as a tuple.  A concept no scope reaches gets
-one shared, immutable :class:`ContextAnnotation`.  All functions here are
-pure.
+builds each :class:`Scope` as a tuple.  A sentence with no match skips
+resolution, and one with no scope skips assignment.  A concept no scope
+reaches gets one shared, immutable :class:`ContextAnnotation`.  All
+functions here are pure.
 Tokens are lowercased for matching, so every entry point is
 case-insensitive; :func:`resolve_scopes` reads only token counts.
 """
@@ -227,7 +228,7 @@ def _check_trie(trie: RuleTrie | None, ruleset: RuleSet) -> None:
 def _sentence_scopes(tokens: Sequence[str], ruleset: RuleSet, trie: RuleTrie | None) -> list[Scope]:
     """Match ``tokens``, lowercased as rule phrases are on load, through
     ``trie`` when given, else through the naive reference matcher, and
-    resolve the scopes of the matches."""
+    resolve the scopes of the matches, if any."""
     joined = "".join(tokens)
     if joined != joined.lower():  # a new list only when case must fold
         tokens = [token.lower() for token in tokens]
@@ -235,7 +236,7 @@ def _sentence_scopes(tokens: Sequence[str], ruleset: RuleSet, trie: RuleTrie | N
         matches = find_matches_trie(trie, tokens)
     else:
         matches = find_matches_naive(ruleset, tokens)
-    return resolve_scopes(matches, ruleset, len(tokens))
+    return resolve_scopes(matches, ruleset, len(tokens)) if matches else []
 
 
 def _invalid_span(concept: ConceptSpan, n: int) -> InvalidSpan:
@@ -260,7 +261,8 @@ def annotate(
     n = len(tokens)
     if not 0 <= concept.start < concept.end <= n:
         raise _invalid_span(concept, n)
-    return _assign(_sentence_scopes(tokens, ruleset, trie), ruleset.table, concept)
+    scopes = _sentence_scopes(tokens, ruleset, trie)
+    return _assign(scopes, ruleset.table, concept) if scopes else _NO_CUE
 
 
 def annotate_records(
@@ -284,7 +286,7 @@ def annotate_records(
     _check_trie(trie, ruleset)
     table = ruleset.table
     run_tokens: Sequence[str] | None = None
-    scopes: list[Scope] | None = None  # None: the run is not resolved yet
+    scopes: list[Scope] | None = None  # None: the run is not resolved yet; [] is resolved
     for tokens, concept in records:
         if tokens != run_tokens:
             # a slice keeps the type, so equal tuples, like equal lists, compare equal
@@ -292,6 +294,6 @@ def annotate_records(
         if 0 <= concept.start < concept.end <= n:
             if scopes is None:
                 scopes = _sentence_scopes(tokens, ruleset, trie)
-            yield _assign(scopes, table, concept)
+            yield _assign(scopes, table, concept) if scopes else _NO_CUE
         else:
             yield _invalid_span(concept, n)

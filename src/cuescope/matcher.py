@@ -5,14 +5,15 @@ Two interchangeable matchers produce identical output:
 * :func:`find_matches_trie` walks a nested-map index of all rule phrases,
   so one pass over the sentence matches every rule at once.  Its cost per
   start position is bounded by the longest phrase, not by the rule count.
-  A start whose token is not a root key (and no phrase begins with a
-  wildcard) costs one dict lookup.  From a hit the walk follows the
-  literal chain in a plain loop; a node with a wildcard edge adds that
-  branch to a pending list, created only then, and the branches are
-  walked the same way once the chain ends.  The winner is the deepest
-  node's ``terminal_rules`` list itself, kept sorted by ``build_trie``;
-  ids are copied and sorted only when two branches end at the same
-  depth, which needs a wildcard branch.
+  When no phrase begins with a wildcard, a sentence with no root-key
+  token costs one set test, against the root's keys frozen at build time;
+  in any other sentence, a start whose token is not a root key costs one
+  dict lookup.  From a hit the walk follows the literal chain in a plain
+  loop; a node with a wildcard edge adds that branch to a pending list,
+  created only then, and the branches are walked the same way once the
+  chain ends.  The winner is the deepest node's ``terminal_rules`` list
+  itself, kept sorted by ``build_trie``; ids are copied and sorted only
+  when two branches end at the same depth, which needs a wildcard branch.
 * :func:`find_matches_naive` scans rule by rule, the way loop-based
   engines do.  It is the reference oracle; its runtime grows linearly
   with the rule count, which is exactly what the benchmark measures.
@@ -59,13 +60,19 @@ class TrieNode:
 
 class RuleTrie(_Frozen):
     """The phrase index of ``ruleset``, which it keeps so that callers can
-    check a trie is used with the rules it indexes."""
+    check a trie is used with the rules it indexes.
 
-    __slots__ = ("root", "ruleset")
+    ``_first_words`` holds the words a phrase can start with, or None when
+    a phrase starts with a wildcard, so any word can.
+    """
+
+    __slots__ = ("root", "ruleset", "_first_words")
 
     def __init__(self, root: TrieNode, ruleset: RuleSet) -> None:
+        first_words = None if root.wildcard_child is not None else frozenset(root.children)
         object.__setattr__(self, "root", root)
         object.__setattr__(self, "ruleset", ruleset)
+        object.__setattr__(self, "_first_words", first_words)
 
 
 def build_trie(ruleset: RuleSet) -> RuleTrie:
@@ -99,6 +106,9 @@ def find_matches_trie(trie: RuleTrie, tokens: Sequence[str]) -> list[CueMatch]:
     sentence and, in turn, the wildcard edge of every node it reaches
     (both may continue), keeping the deepest terminal hits.
     """
+    first_words = trie._first_words
+    if first_words is not None and first_words.isdisjoint(tokens):
+        return []  # no token can start a cue
     matches: list[CueMatch] = []
     append = matches.append
     root = trie.root

@@ -258,11 +258,14 @@ def test_annotate_repeated_sentences_as_per_record_annotate(tmp_path, starter_ru
 def test_annotate_is_case_insensitive_and_echoes_tokens(tmp_path, starter_rules_path, capsys):
     corpus = write_corpus_file(tmp_path, [
         {"tokens": ["No", "EVIDENCE", "of", "Recurrence"], "concept": [3, 4]},
+        # the only cue word is capitalised, so no token as given is a rule's first word
+        {"tokens": ["No", "Chest", "Pain"], "concept": [1, 3]},
     ])
     assert run_cli("annotate", "--rules", str(starter_rules_path), "--input", str(corpus)) == 0
-    record = json.loads(out_lines(capsys)[0])
-    assert record["tokens"] == ["No", "EVIDENCE", "of", "Recurrence"]
-    assert record["pred"]["negation"] == "negated"
+    records = [json.loads(line) for line in out_lines(capsys)]
+    assert [record["tokens"] for record in records] == \
+        [["No", "EVIDENCE", "of", "Recurrence"], ["No", "Chest", "Pain"]]
+    assert [record["pred"]["negation"] for record in records] == ["negated", "negated"]
 
 
 GOOD_LINES = [

@@ -645,3 +645,44 @@ def test_trie_of_another_rule_set_is_rejected(starter_rules):
     assert copy is not starter_rules
     assert annotate(tokens, concept, copy, build_trie(starter_rules)) == \
         annotate(tokens, concept, starter_rules)
+
+
+# --- a sentence with no cue word ---
+
+def test_a_cue_free_sentence_is_neither_resolved_nor_assigned(
+        starter_rules, starter_rules_path, tmp_path, monkeypatch, capsys):
+    from cuescope.cli import main
+
+    def fail(*args):
+        raise AssertionError("a cue-free sentence reached scope resolution or assignment")
+
+    monkeypatch.setattr(engine, "resolve_scopes", fail)
+    monkeypatch.setattr(engine, "_assign", fail)
+    tokens = ["Chest", "pain", "today"]
+    records = [(tokens, ConceptSpan(0, 2)), (tokens, ConceptSpan(2, 3)), (["mi"], ConceptSpan(0, 1))]
+    assert engine._NO_CUE == ContextAnnotation()
+    for trie in (build_trie(starter_rules), None):
+        assert annotate(tokens, ConceptSpan(1, 2), starter_rules, trie) is engine._NO_CUE
+        results = list(annotate_records(records, starter_rules, trie))
+        assert all(result is engine._NO_CUE for result in results) and len(results) == 3
+    corpus = tmp_path / "free.jsonl"
+    corpus.write_text('{"tokens":["Chest","pain","today"],"concept":[0,2]}\n', encoding="utf-8")
+    assert main(["annotate", "--rules", str(starter_rules_path), "--input", str(corpus)]) == 0
+    assert capsys.readouterr().out == (
+        '{"tokens":["Chest","pain","today"],"concept":[0,2],"pred":{"negation":"affirmed",'
+        '"experiencer":"patient","temporality":"recent","evidence":{}}}\n')
+
+
+def test_a_cue_free_run_is_matched_once(starter_rules, monkeypatch):
+    calls = []
+
+    def counted(trie, tokens):
+        calls.append(list(tokens))
+        return find_matches_trie(trie, tokens)
+
+    monkeypatch.setattr(engine, "find_matches_trie", counted)
+    tokens = ["chest", "pain", "today"]
+    records = [(list(tokens), ConceptSpan(i, i + 1)) for i in range(3)]
+    results = list(annotate_records(records, starter_rules, build_trie(starter_rules)))
+    assert results == [ContextAnnotation()] * 3
+    assert calls == [tokens]

@@ -61,6 +61,7 @@ def test_paper_phrase_matches_itself(match):
 def test_longest_match_at_start_wins(match):
     rs = make_rules("rule", "rule out")
     assert match(rs, ["can", "rule", "out"]) == [CueMatch(1, 1, 3)]
+    assert match(rs, ["can", "rule"]) == [CueMatch(0, 1, 2)]  # the last token starts it
 
 
 @pytest.mark.parametrize("match", BOTH)
@@ -68,6 +69,8 @@ def test_wildcard_binds_one_token(match):
     rs = make_rules(f"denies {WILDCARD} pain")
     assert match(rs, ["denies", "chest", "pain"]) == [CueMatch(0, 0, 3)]
     assert match(rs, ["denies", "pain"]) == []
+    leading = make_rules(f"{WILDCARD} y")  # no sentence word is a literal first word
+    assert match(leading, ["q", "y"]) == [CueMatch(0, 0, 2)]
 
 
 @pytest.mark.parametrize("match", BOTH)
@@ -141,6 +144,10 @@ tokens_strategy = st.lists(_sentence_token, max_size=14)
 # a wildcard as the last phrase token, at and past the sentence's end
 @example(make_rules("x", f"x {WILDCARD}"), ["y", "x", "z"])
 @example(make_rules("x", f"x {WILDCARD}"), ["y", "x"])
+# a root wildcard edge and no word a literal root key: the set test must not run
+@example(make_rules(f"{WILDCARD} y"), ["q", "y"])
+# the only root-key word is the sentence's last token
+@example(make_rules("x"), ["a", "b", "x"])
 @given(rule_sets(), tokens_strategy)
 def test_trie_equals_naive(ruleset, tokens):
     trie_out = find_matches_trie(build_trie(ruleset), tokens)
