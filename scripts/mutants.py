@@ -54,8 +54,34 @@ MUTANTS: list[tuple[str, str, str]] = [
      "if type(gold) is not dict:",
      "if False:"),
     ("a space after the gold key",
-     """head += f',"gold":{{{gold}}}'""",
-     """head += f',"gold": {{{gold}}}'"""),
+     """text += f',"gold":{{{gold}}}'""",
+     """text += f',"gold": {{{gold}}}'"""),
+    # a run of lines with one token array, decoded once
+    ("no backslash test on the line a run's head is proven from",
+     'cut = -1 if "\\\\" in line else line.find',
+     "cut = line.find"),
+    ("a quote inside a run's token taken as its end",
+     """body.count('"') == 2 * len(tokens)""",
+     "True"),
+    ("a run's token array not closed by a quote accepted",
+     """body[0] == body[-1] == '"' and """,
+     ""),
+    ("a rest holding tokens accepted",
+     'if obj and end == len(rest) and "tokens" not in obj:',
+     "if obj and end == len(rest):"),
+    ("trailing data after the rest accepted",
+     'if obj and end == len(rest) and "tokens" not in obj:',
+     'if obj and "tokens" not in obj:'),
+    ("an empty rest accepted",
+     'if obj and end == len(rest) and "tokens" not in obj:',
+     'if obj is not None and end == len(rest) and "tokens" not in obj:'),
+    ("a run's records sharing one list object",
+     "_record_from_obj(obj, line_no, line, run[1][:])",
+     "_record_from_obj(obj, line_no, line, run[1])"),
+    # the writer: a run's tokens encoded once
+    ("the writer comparing tokens with is",
+     "if tokens != last:\n            last, tokens_json = tokens[:],",
+     "if tokens is not last:\n            last, tokens_json = tokens,"),
     # the engine
     ("shared no-cue result built with a plain dict",
      "_NO_CUE = ContextAnnotation()",
@@ -172,6 +198,12 @@ MUTANTS: list[tuple[str, str, str]] = [
      '        if name != "table":\n'
      "            _Frozen.__setattr__(self, name, value)\n"
      "        object.__setattr__(self, name, value)"),
+    ("one enum keeps Enum.__hash__",
+     "class Dimension(_Enum):",
+     "class Dimension(Enum):"),
+    ("__reduce__ drops the rules",
+     "return (RuleSet, (self.rules,))",
+     "return (RuleSet, ((),))"),
     ("only a space rejected in a phrase token",
      "if tok.split() != [tok]:",
      'if " " in tok:'),

@@ -151,11 +151,12 @@ def cmd_annotate(args: argparse.Namespace) -> int:
             )
         with _open_out(args.output) as out:
             write, annotated_line = out.write, corpus_mod.annotated_line
+            head = corpus_mod._run_heads()
             for result, record in _annotated(source, ruleset):
                 if type(result) is InvalidSpan:
                     errors += 1
                     print(f"line {record.line_no}: {result}", file=sys.stderr)
-                write(annotated_line(record, result))
+                write(annotated_line(record, result, head(record)))
     if errors and args.strict:
         print(f"{errors} record(s) failed under --strict", file=sys.stderr)
         return EXIT_ASSERTION

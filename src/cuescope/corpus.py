@@ -15,6 +15,17 @@ Corpus files hold one JSON object per line with keys:
 value) or, for an invalid concept span, an ``"error"`` string as its
 last key.  Both write compact JSON with non-ASCII text unescaped.
 
+A sentence with several concepts is a run of adjacent records with the
+same tokens, and a run's token array is decoded and encoded once.  When a
+line's tokens start as the last fully decoded line's do, the reader
+proves, once per run, that this earlier line's text up to the ``],``
+that closes its tokens is their exact encoding (see :func:`_run_head`).
+A line that starts with that text decodes only the rest, which must be
+one object with keys, none of them ``tokens``, and its record gets a copy
+of the run's tokens; any other line is decoded whole.  A writer compares
+each record's tokens by contents with its own copy of the last ones,
+whose encoding it keeps.
+
 The generators are deterministic for a given seed, and gold labels are
 computed by the naive engine so generated corpora never depend on the
 trie they are used to test.
@@ -27,7 +38,7 @@ import os
 import random
 from itertools import repeat
 from json.encoder import encode_basestring
-from typing import IO, Iterable, Iterator, NamedTuple
+from typing import IO, Callable, Iterable, Iterator, NamedTuple
 
 from . import engine
 from .engine import ConceptSpan, ContextAnnotation, InvalidSpan
@@ -108,19 +119,24 @@ class CorpusRecord:
         )
 
 
-def _record_from_obj(obj: object, line_no: int, line: str) -> CorpusRecord:
-    if type(obj) is not dict:
-        raise CorpusError(f"line {line_no}: expected a JSON object")
-    tokens = obj.get("tokens")
-    if type(tokens) is not list or not all(map(isinstance, tokens, repeat(str))):
-        raise CorpusError(f"line {line_no}: 'tokens' must be a list of strings")
-    if "\\u" in line:
-        # only a \u escape can put a lone surrogate into a token, which
-        # no UTF-8 output could then hold
-        try:
-            "".join(tokens).encode("utf-8")
-        except UnicodeEncodeError:
-            raise CorpusError(f"line {line_no}: 'tokens' hold a lone surrogate") from None
+def _record_from_obj(
+    obj: object, line_no: int, line: str, tokens: list[str] | None = None
+) -> CorpusRecord:
+    """The record of ``obj``, decoded from ``line``; ``tokens``, when given,
+    are its already checked tokens, and ``obj`` is a dict that holds none."""
+    if tokens is None:
+        if type(obj) is not dict:
+            raise CorpusError(f"line {line_no}: expected a JSON object")
+        tokens = obj.get("tokens")
+        if type(tokens) is not list or not all(map(isinstance, tokens, repeat(str))):
+            raise CorpusError(f"line {line_no}: 'tokens' must be a list of strings")
+        if "\\u" in line:
+            # only a \u escape can put a lone surrogate into a token, which
+            # no UTF-8 output could then hold
+            try:
+                "".join(tokens).encode("utf-8")
+            except UnicodeEncodeError:
+                raise CorpusError(f"line {line_no}: 'tokens' hold a lone surrogate") from None
     concept = obj.get("concept")
     # JSON gives exact ints and bools, so ``type(x) is int`` excludes bools
     if type(concept) is not list or len(concept) != 2 or not (
@@ -167,10 +183,33 @@ def open_corpus(path: str | os.PathLike | int) -> IO[str]:
     return open(path, encoding="utf-8", errors="surrogateescape", closefd=not isinstance(path, int))
 
 
+def _run_head(line: str) -> tuple[str, list[str]] | None:
+    """``line``'s text up to the ``],`` that closes its tokens, and the tokens
+    that text decodes to, when it is their exact encoding: ``line`` holds no
+    backslash, and the text is ``{"tokens":[``, then each token in quotes,
+    none holding a quote, joined by ``,``, then ``],``.  None for any other
+    line.  ``line`` is one the reader decoded, so it is valid JSON."""
+    cut = -1 if "\\" in line else line.find('],"concept":')
+    if cut < 11 or not line.startswith('{"tokens":['):
+        return None
+    body = line[11:cut]
+    tokens = body[1:-1].split('","') if body else []
+    # with no backslash, a token's text between its quotes is the token,
+    # and two quotes for each token leave none inside one
+    if body and not (body[0] == body[-1] == '"' and body.count('"') == 2 * len(tokens)):
+        return None
+    return line[:cut + 2], tokens
+
+
 def _iter_lines(lines: Iterable[str]) -> Iterator[CorpusRecord]:
     # the C scanner behind ``json.loads``, called directly; the handlers
     # below give the messages ``json.loads`` gives for the same line
     scan = json.JSONDecoder().scan_once
+    # the run (see the module docstring): ``prev`` is the last fully decoded
+    # line and ``first`` its first token, which opens the tokens of every
+    # line of its run, after ``{"tokens":["``; ``run`` is ``_run_head(prev)``
+    # once a line has passed that test, or None
+    prev, first, run = "", None, None
     for line_no, line in enumerate(lines, start=1):
         if not line.isascii():
             try:
@@ -182,6 +221,19 @@ def _iter_lines(lines: Iterable[str]) -> Iterator[CorpusRecord]:
         line = line.strip()
         if not line:
             continue
+        if first is not None and line.startswith(first, 12):
+            run = run or _run_head(prev)
+            if run and line.startswith(run[0]):
+                rest = "{" + line[len(run[0]):]
+                try:
+                    obj, end = scan(rest, 0)
+                except (StopIteration, ValueError, RecursionError):
+                    obj = None  # decoded again below, for its message
+                # ``{`` + rest decodes as the line does when rest holds a key
+                # (``{"tokens":[...],}`` is not JSON) and the key is not tokens
+                if obj and end == len(rest) and "tokens" not in obj:
+                    yield _record_from_obj(obj, line_no, line, run[1][:])
+                    continue
         try:
             obj, end = scan(line, 0)
         except StopIteration:  # no value starts the line
@@ -195,24 +247,42 @@ def _iter_lines(lines: Iterable[str]) -> Iterator[CorpusRecord]:
             raise CorpusError(f"line {line_no}: invalid JSON ({err})") from None
         if end != len(line):  # the line is stripped, so anything left is data
             raise CorpusError(f"line {line_no}: invalid JSON (Extra data)")
-        yield _record_from_obj(obj, line_no, line)
+        record = _record_from_obj(obj, line_no, line)
+        tokens = record.tokens
+        prev, first, run = line, tokens[0] if tokens else "", None
+        yield record
+
+
+def _run_heads() -> Callable[[CorpusRecord], str]:
+    """A function giving a record's JSON line up to its closing brace, so
+    that a writer can add keys: ``{"tokens":[...],"concept":[start,end]``,
+    then ``,"gold":{...}`` if the record has gold labels.  Called for records
+    in turn, it encodes the tokens of a run of records with equal tokens
+    once: it compares each record's tokens by contents with its own copy of
+    the last ones, so a caller may refill one list between records."""
+    last: list[str] | None = None
+    tokens_json = ""
+
+    def head(record: CorpusRecord) -> str:
+        nonlocal last, tokens_json
+        tokens = record.tokens
+        if tokens != last:
+            last, tokens_json = tokens[:], ",".join(map(encode_basestring, tokens))
+        concept = record.concept
+        text = f'{{"tokens":[{tokens_json}],"concept":[{concept.start},{concept.end}]'
+        if record.gold is not None:
+            gold = ",".join(
+                f"{encode_basestring(k)}:{encode_basestring(v)}" for k, v in record.gold.items()
+            )
+            text += f',"gold":{{{gold}}}'
+        return text
+
+    return head
 
 
 def _record_head(record: CorpusRecord) -> str:
-    """``record``'s JSON line up to its closing brace, so that a writer can
-    add keys: ``{"tokens":[...],"concept":[start,end]``, then ``,"gold":{...}``
-    if the record has gold labels."""
-    concept = record.concept
-    head = (
-        f'{{"tokens":[{",".join(map(encode_basestring, record.tokens))}],'
-        f'"concept":[{concept.start},{concept.end}]'
-    )
-    if record.gold is not None:
-        gold = ",".join(
-            f"{encode_basestring(k)}:{encode_basestring(v)}" for k, v in record.gold.items()
-        )
-        head += f',"gold":{{{gold}}}'
-    return head
+    """``record``'s JSON line up to its closing brace (see :func:`_run_heads`)."""
+    return _run_heads()(record)
 
 
 def write_corpus(records: Iterable[CorpusRecord], stream: IO[str]) -> None:
@@ -223,9 +293,9 @@ def write_corpus(records: Iterable[CorpusRecord], stream: IO[str]) -> None:
     ...              sys.stdout)
     {"tokens":["no","fever"],"concept":[1,2],"gold":{"negation":"negated"}}
     """
-    write = stream.write
+    write, head = stream.write, _run_heads()
     for record in records:
-        write(_record_head(record) + "}\n")
+        write(head(record) + "}\n")
 
 
 #: The parts of an annotated line that depend only on an annotation's values.
@@ -240,9 +310,12 @@ _NO_EVIDENCE = (
 )
 
 
-def annotated_line(record: CorpusRecord, result: ContextAnnotation | InvalidSpan) -> str:
+def annotated_line(
+    record: CorpusRecord, result: ContextAnnotation | InvalidSpan, head: str | None = None
+) -> str:
     r"""``record`` as :func:`write_corpus` writes it, with its ``pred`` (or
-    ``error``) added as the last key.
+    ``error``) added as the last key.  ``head``, when given, is
+    ``_record_head(record)``, for example from a writer's :func:`_run_heads`.
 
     >>> from cuescope import annotate, load_rules
     >>> import io
@@ -251,7 +324,8 @@ def annotated_line(record: CorpusRecord, result: ContextAnnotation | InvalidSpan
     >>> print(annotated_line(record, annotate(record.tokens, record.concept, rules)), end="")
     {"tokens":["no","fever"],"concept":[1,2],"pred":{"negation":"negated","experiencer":"patient","temporality":"recent","evidence":{"negation":[0,1]}}}
     """
-    head = _record_head(record)
+    if head is None:
+        head = _record_head(record)
     if type(result) is InvalidSpan:
         return f'{head},"error":{encode_basestring(str(result))}}}\n'
     evidence = result.evidence

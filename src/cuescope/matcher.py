@@ -74,6 +74,11 @@ class RuleTrie(_Frozen):
         object.__setattr__(self, "ruleset", ruleset)
         object.__setattr__(self, "_first_words", first_words)
 
+    def __reduce__(self) -> tuple:
+        # pickle and copy rebuild it from its rule set, as the slots state
+        # cannot be assigned; pickled with that rule set, it keeps it
+        return (build_trie, (self.ruleset,))
+
 
 def build_trie(ruleset: RuleSet) -> RuleTrie:
     """Index every rule phrase word by word; wildcards get their own edge.

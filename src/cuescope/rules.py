@@ -28,7 +28,15 @@ from typing import IO, Iterable, Iterator, NamedTuple
 WILDCARD = r"\w+"
 
 
-class Direction(Enum):
+class _Enum(Enum):
+    """Base of the enums below: a member hashes by identity, in C, where
+    ``Enum.__hash__`` hashes its name in Python.  Members are singletons,
+    so equal members still hash equal."""
+
+    __hash__ = object.__hash__
+
+
+class Direction(_Enum):
     """Side of the cue its scope extends to."""
 
     FORWARD = "forward"
@@ -36,7 +44,7 @@ class Direction(Enum):
     BIDIRECTIONAL = "bidirectional"
 
 
-class CueType(Enum):
+class CueType(_Enum):
     """What a matched cue does: assign a value, suppress, or cut scopes."""
 
     TRIGGER = "trigger"
@@ -44,7 +52,7 @@ class CueType(Enum):
     TERMINATION = "termination"
 
 
-class RuleValue(Enum):
+class RuleValue(_Enum):
     """Modifier value a trigger assigns; implies its dimension."""
 
     NEGATED = "negated"
@@ -54,24 +62,24 @@ class RuleValue(Enum):
     HYPOTHETICAL = "hypothetical"
 
 
-class Dimension(Enum):
+class Dimension(_Enum):
     NEGATION = "negation"
     EXPERIENCER = "experiencer"
     TEMPORALITY = "temporality"
 
 
-class NegationStatus(Enum):
+class NegationStatus(_Enum):
     AFFIRMED = "affirmed"
     NEGATED = "negated"
     POSSIBLE = "possible"
 
 
-class ExperiencerStatus(Enum):
+class ExperiencerStatus(_Enum):
     PATIENT = "patient"
     OTHER = "other"
 
 
-class TemporalityStatus(Enum):
+class TemporalityStatus(_Enum):
     RECENT = "recent"
     HISTORICAL = "historical"
     HYPOTHETICAL = "hypothetical"
@@ -227,6 +235,10 @@ class RuleSet(_Frozen):
 
     def __repr__(self) -> str:
         return f"RuleSet(rules={self.rules!r})"
+
+    def __reduce__(self) -> tuple:
+        # pickle and copy rebuild it, as the slots state cannot be assigned
+        return (RuleSet, (self.rules,))
 
     def __len__(self) -> int:
         return len(self.rules)

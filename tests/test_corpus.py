@@ -173,6 +173,150 @@ def test_reading_a_line_matches_json_loads(line):
     assert read_one_line(line) == expected_from_json_loads(line)
 
 
+def read_alone(lines):
+    """What reading ``lines`` must give: each line read on its own, behind
+    blank lines so that it keeps its number, up to the first error; as
+    ``(tokens, concept, gold, line_no)`` rows, then that error's message."""
+    out = []
+    for i, line in enumerate(lines):
+        try:
+            out.extend(as_rows(iter_corpus([""] * i + [line])))
+        except CorpusError as err:
+            return out + [str(err)]
+    return out
+
+
+def as_rows(records):
+    return [(r.tokens, r.concept, r.gold, r.line_no) for r in records]
+
+
+def read_together(lines):
+    rows = []
+    try:
+        for record in iter_corpus(lines):
+            rows.extend(as_rows([record]))
+    except CorpusError as err:
+        rows.append(str(err))
+    return rows
+
+
+#: A few token lists, so that lines repeat them, with every character
+#: that the encoding of a token escapes or that closes a token array.
+TOKEN_LISTS = st.lists(
+    st.lists(st.sampled_from(["a", "b c", "],", "/", "\u00e9", ""])
+             | st.text(alphabet='ab"\\],/ \u00e9\u2028', max_size=3), max_size=3),
+    min_size=1, max_size=3,
+)
+
+
+@st.composite
+def run_lines(draw, tokens):
+    """One record line with ``tokens``, in the canonical form or not: spaces,
+    ASCII escapes, ``\\/``, keys reordered, extra or repeated, a gold
+    object, and a rest that is cut or has something added."""
+    items = [("tokens", tokens), ("concept", [draw(st.integers(-1, 2)), draw(st.integers(0, 3))])]
+    if draw(st.booleans()):
+        items.append(("gold", draw(st.sampled_from([{}, {"negation": "negated"}] * 3 + [{"mood": "x"}]))))
+    canonical = draw(st.booleans())
+    if not canonical:
+        extra = draw(st.sampled_from([None, ("x", 1), ("tokens", ["a"]), ("tokens", tokens),
+                                      ("concept", [0, 1]), ("tokens", "a")]))
+        if extra is not None:
+            items.insert(draw(st.integers(1, len(items))), extra)
+        if draw(st.booleans()):
+            items = draw(st.permutations(items))
+    ascii_only = not canonical and draw(st.booleans())
+    sep = (",", ":") if canonical or draw(st.booleans()) else (", ", ": ")
+    text = "{" + sep[0].join(
+        json.dumps(k) + sep[1] + json.dumps(v, ensure_ascii=ascii_only, separators=sep)
+        for k, v in items
+    ) + "}"
+    if not canonical and draw(st.booleans()):
+        text = text.replace("/", "\\/")
+    edit = draw(st.sampled_from(["keep"] * 12 + ["cut", "append", "insert"]))
+    at = draw(st.integers(len(text) // 2, len(text)))
+    if edit == "cut":
+        text = text[:at]
+    elif edit == "append":
+        text += draw(st.sampled_from([" x", "}", ",", " {}"]))
+    elif edit == "insert":
+        text = text[:at] + draw(st.sampled_from([",", "}", "]", " ", '"'])) + text[at:]
+    return text
+
+
+@st.composite
+def corpora_of_runs(draw):
+    pool = draw(TOKEN_LISTS)
+    return [draw(run_lines(draw(st.sampled_from(pool)))) for _ in range(draw(st.integers(1, 8)))]
+
+
+@settings(max_examples=300, deadline=None)
+@example([
+    '{"tokens":["a","b"],"concept":[0,1],"tokens":["a\\",\\"b"]}',
+    '{"tokens":["a","b"],"concept":[0,1]}',
+])
+@example([
+    '{"tokens":["a","b"],"concept":[0,1]}',
+    '{"tokens":["a","b"],"concept":[0,1],"tokens":["a\\",\\"b"]}',
+    '{"tokens":["a","b"],"concept":[1,2]}',
+])
+@example(['{"tokens":["a"],"concept":[0,1],"tokens":["b"]}', '{"tokens":["a"],"concept":[0,1]}'])
+@example(['{"tokens":["a","\\u00e9"],"concept":[0,1]}', '{"tokens":["a","\\u00e9"],"concept":[1,2]}'])
+@example(['{"tokens":["a",1,"b"],"concept":[0,1],"tokens":["a"]}', '{"tokens":["a",1,"b"],"concept":[0,1]}'])
+@example(['{"tokens":["a",1],"concept":[0,1],"tokens":["a"]}', '{"tokens":["a",1],"concept":[0,1]}'])
+@example(['{"tokens":["a"],"concept":[0,1]}', '{"tokens":["a"],"concept":[0,1],"tokens":["b"]}'])
+@example(['{"tokens":["a"],"concept":[0,1]}', '{"tokens":["a"],"concept":[0,1]} x'])
+@example(['{"tokens":["a"],"concept":[0,1]}', '{"tokens":["a"],}'])
+@example(['{"tokens":[],"concept":[0,1]}', '{"tokens":[],"concept":[0,0]}', '{"tokens":[],"concept":'])
+@given(corpora_of_runs())
+def test_reading_a_corpus_matches_reading_each_line_alone(lines):
+    assert read_together(lines) == read_alone(lines)
+
+
+@st.composite
+def runs_of_records(draw):
+    pool = draw(TOKEN_LISTS)
+    return [
+        (draw(st.sampled_from(pool)), ConceptSpan(draw(st.integers(0, 2)), draw(st.integers(0, 3))),
+         draw(st.sampled_from([None, {}, {"negation": "negated", "temporality": "recent"}])))
+        for _ in range(draw(st.integers(0, 8)))
+    ]
+
+
+@settings(max_examples=200, deadline=None)
+@example([(["a"], ConceptSpan(0, 1), None), (["b"], ConceptSpan(0, 1), None)], True)
+@given(runs_of_records(), st.booleans())
+def test_writing_a_run_matches_writing_each_record(rows, refill):
+    shared: list[str] = []
+
+    def records():
+        for tokens, concept, gold in rows:
+            if refill:  # one list, refilled in place between records
+                shared[:] = tokens
+                yield CorpusRecord(shared, concept, gold)
+            else:
+                yield CorpusRecord(list(tokens), concept, gold)
+
+    expected = "".join(corpus._record_head(CorpusRecord(*row)) + "}\n" for row in rows)
+    assert jsonl(records()) == expected
+
+
+def test_a_run_of_records_shares_no_token_list():
+    line = '{"tokens":["a","b"],"concept":[0,1]}\n'
+    records = iter_corpus([line] * 4)
+    first, second = next(records), next(records)
+    first.tokens.append("c")  # after the run's head is proven, before it is reused
+    second.tokens[0] = "z"
+    rest = list(records)
+    assert [r.tokens for r in rest] == [["a", "b"], ["a", "b"]]
+    rest[0].tokens.clear()
+    assert rest[1].tokens == ["a", "b"]
+    # changed before the next line is read, a record's tokens are not reused
+    records = iter_corpus([line] * 2)
+    next(records).tokens[0] = "z"
+    assert next(records).tokens == ["a", "b"]
+
+
 def test_one_byte_order_mark_opening_the_corpus_is_ignored(tmp_path):
     good = '{"tokens": ["a"], "concept": [0, 1]}'
     expected = [CorpusRecord(["a"], ConceptSpan(0, 1))]

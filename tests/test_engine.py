@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cuescope import engine
-from cuescope.corpus import generate_rules
+from cuescope.corpus import GeneratorConfig, generate_corpus, generate_rules
 from cuescope.engine import (
     ConceptSpan,
     ContextAnnotation,
@@ -261,6 +261,23 @@ def test_rule_sets_tries_and_results_are_immutable():
             with pytest.raises(AttributeError):
                 delattr(obj, name)
     assert (rs.table, trie.ruleset) == (RuleSet.from_rules([trigger("no")]).table, rs)
+
+
+def test_rule_sets_and_tries_pickle_and_copy():
+    rules = generate_rules(7, 300)
+    trie = build_trie(rules)
+    records = [(r.tokens, r.concept) for r in generate_corpus(GeneratorConfig(3, 200, 0.8), rules)]
+    expected = list(annotate_records(records, rules, trie))
+    clones = [pickle.loads(pickle.dumps((rules, trie))), copy.deepcopy((rules, trie))]
+    for clone_rules, clone_trie in clones:
+        assert clone_trie.ruleset is clone_rules
+        assert clone_rules == rules and clone_rules is not rules
+        assert list(annotate_records(records, clone_rules, clone_trie)) == expected
+    assert copy.copy(rules) == rules and copy.deepcopy(rules) == rules
+    assert copy.copy(trie).ruleset is rules and copy.deepcopy(trie).ruleset == rules
+    for clone in (copy.copy(rules), clones[0][0], copy.copy(trie), clones[0][1]):
+        with pytest.raises(AttributeError):  # still immutable
+            setattr(clone, "rules" if type(clone) is RuleSet else "ruleset", None)
 
 
 def test_rule_sets_are_equal_when_their_rules_are():

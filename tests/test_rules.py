@@ -1,9 +1,11 @@
+import enum
 import io
 import sys
 
 import pytest
 from hypothesis import given, strategies as st
 
+from cuescope import rules as rules_mod
 from cuescope.corpus import generate_rules
 from cuescope.rules import (
     WILDCARD,
@@ -242,3 +244,13 @@ def test_serialize_load_is_fixed_point(ruleset):
     reloaded = load_rules(io.StringIO(text))
     assert reloaded.rules == ruleset.rules
     assert serialize_rules(reloaded) == text
+
+
+def test_every_enum_hashes_its_members_in_c():
+    # ``Enum.__hash__`` hashes the member's name in Python code; the writer,
+    # the engine and load_rules hash members for every record or rule
+    enums = [obj for obj in vars(rules_mod).values()
+             if isinstance(obj, type) and issubclass(obj, enum.Enum) and len(obj)]
+    assert len(enums) == 7
+    for cls in enums:
+        assert cls.__hash__ is object.__hash__, cls.__name__
