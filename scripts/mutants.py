@@ -101,8 +101,8 @@ MUTANTS: list[tuple[str, str, str]] = [
     ("a run matched before its first valid concept",
      "run_tokens, n, scopes = tokens[:], len(tokens), None",
      "run_tokens, n, scopes = tokens[:], len(tokens), _sentence_scopes(tokens, ruleset, trie)"),
-    ("no case fold",
-     "if joined != joined.lower():",
+    ("no case fold in a record loop",
+     "if joined != joined.lower():  # a new list only when case must fold",
      "if False:"),
     ("wrong temporality default",
      "ExperiencerStatus.PATIENT, TemporalityStatus.RECENT)",
@@ -132,7 +132,8 @@ MUTANTS: list[tuple[str, str, str]] = [
      "first_words.isdisjoint(tokens)",
      "first_words.isdisjoint(tokens[:-1])"),
     ("the set test runs before case folding",
-     '    joined = "".join(tokens)\n',
+     'if any."""\n    joined = "".join(tokens)\n',
+     'if any."""\n'
      "    first_words = None if trie is None else trie._first_words\n"
      "    if first_words is not None and first_words.isdisjoint(tokens):\n"
      "        return []\n"
@@ -140,6 +141,39 @@ MUTANTS: list[tuple[str, str, str]] = [
     ("a cue-free run matched again at every record",
      "if scopes is None:",
      "if not scopes:"),
+    # the one-record path
+    ("no case fold in annotate",
+     '        raise _invalid_span(concept, n)\n    joined = "".join(tokens)\n    if joined != joined.lower():\n',
+     '        raise _invalid_span(concept, n)\n    joined = "".join(tokens)\n    if False:\n'),
+    ("the identity test taken for every trie",
+     "if trie is not None and trie.ruleset is not ruleset:\n",
+     "if False:\n"),
+    ("a cue-free result returned before the span check",
+     "    if not 0 <= start < end <= n:\n"
+     "        raise _invalid_span(concept, n)\n"
+     '    joined = "".join(tokens)\n'
+     "    if joined != joined.lower():\n"
+     "        tokens = [token.lower() for token in tokens]\n"
+     "    if trie is not None:\n"
+     "        matches = find_matches_trie(trie, tokens)\n"
+     "    else:\n"
+     "        matches = find_matches_naive(ruleset, tokens)\n"
+     "    if not matches:\n"
+     "        return _NO_CUE\n",
+     '    joined = "".join(tokens)\n'
+     "    if joined != joined.lower():\n"
+     "        tokens = [token.lower() for token in tokens]\n"
+     "    if trie is not None:\n"
+     "        matches = find_matches_trie(trie, tokens)\n"
+     "    else:\n"
+     "        matches = find_matches_naive(ruleset, tokens)\n"
+     "    if not matches:\n"
+     "        return _NO_CUE\n"
+     "    if not 0 <= start < end <= n:\n"
+     "        raise _invalid_span(concept, n)\n"),
+    ("an empty match list resolved",
+     "    if not matches:\n        return _NO_CUE\n",
+     ""),
     # the engine's result
     ("evidence in dimension order, not cue order",
      "for dim, (_, scope) in best.items():",

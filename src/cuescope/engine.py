@@ -27,14 +27,17 @@ Steps 1-3 depend on the sentence only, step 4 on each concept.  So
 :func:`annotate_records` yields one result per record, before it reads the
 next record, and matches and resolves each run of consecutive records with
 equal tokens once: at the run's first valid concept, whose scopes every
-later concept of the run is assigned from.  :func:`annotate` is the
-one-record case.  Scope resolution reads each rule through
+later concept of the run is assigned from.  A sentence with no match
+skips resolution, and one with no scope skips assignment.
+:func:`annotate` is the one-record case.  It spells out the case fold and
+the match rather than calling the helper the record loop uses, and stops
+at the first empty step, so a cue-free sentence costs one span check, one
+case test and one matcher call.  Scope resolution reads each rule through
 ``RuleSet.table``, built once per rule set, once per match; it tests
 pseudo overlaps and clamps windows with plain loops and comparisons, and
-builds each :class:`Scope` as a tuple.  A sentence with no match skips
-resolution, and one with no scope skips assignment.  A concept no scope
-reaches gets one shared, immutable :class:`ContextAnnotation`.  All
-functions here are pure.
+builds each :class:`Scope` as a tuple.  A concept no scope reaches gets
+one shared, immutable :class:`ContextAnnotation`.  All functions here are
+pure.
 Tokens are lowercased for matching, so every entry point is
 case-insensitive; :func:`resolve_scopes` reads only token counts.
 """
@@ -256,12 +259,29 @@ def annotate(
     case-insensitively.  Raises :class:`InvalidSpan` when the concept lies
     outside the token range, and ``ValueError`` when ``trie`` was built
     from a different rule set.
+
+    It stops at the first empty step: a sentence with no match is not
+    resolved, and one with no scope is not assigned.  The fold and the
+    match of :func:`_sentence_scopes` are written out here, so that the
+    commonest call, a sentence with no cue word, calls no engine helper,
+    only the matcher (README "Experiments" gives the gain).
     """
-    _check_trie(trie, ruleset)
+    if trie is not None and trie.ruleset is not ruleset:
+        _check_trie(trie, ruleset)
+    start, end = concept
     n = len(tokens)
-    if not 0 <= concept.start < concept.end <= n:
+    if not 0 <= start < end <= n:
         raise _invalid_span(concept, n)
-    scopes = _sentence_scopes(tokens, ruleset, trie)
+    joined = "".join(tokens)
+    if joined != joined.lower():
+        tokens = [token.lower() for token in tokens]
+    if trie is not None:
+        matches = find_matches_trie(trie, tokens)
+    else:
+        matches = find_matches_naive(ruleset, tokens)
+    if not matches:
+        return _NO_CUE
+    scopes = resolve_scopes(matches, ruleset, n)
     return _assign(scopes, ruleset.table, concept) if scopes else _NO_CUE
 
 

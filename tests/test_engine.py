@@ -378,6 +378,8 @@ def test_annotation_ignores_token_case(ruleset, sc, rng):
     for trie in (build_trie(ruleset), None):
         assert list(annotate_records(((mixed, c) for c in concepts), ruleset, trie)) == \
             list(annotate_records(((tokens, c) for c in concepts), ruleset, trie))
+        for c in concepts:
+            assert annotate(mixed, c, ruleset, trie) == annotate(tokens, c, ruleset, trie)
     assert mixed == given_tokens
 
 
