@@ -95,6 +95,26 @@ MUTANTS: list[tuple[str, str, str]] = [
     ("farthest cue wins",
      "key = (_cue_distance(cue, concept),",
      "key = (-_cue_distance(cue, concept),"),
+    # scope resolution directed at one concept
+    ("the forward reach bound off by one, dropping a reaching trigger",
+     "if not e.forward or m.end + e.window <= c_start:",
+     "if not e.forward or m.end + e.window <= c_start + 1:"),
+    ("the forward reach bound off by one, keeping a trigger that misses",
+     "if not e.forward or m.end + e.window <= c_start:",
+     "if not e.forward or m.end + e.window < c_start:"),
+    ("the backward reach bound off by one, dropping a reaching trigger",
+     "if not e.backward or m.start - e.window >= c_end:",
+     "if not e.backward or m.start - e.window >= c_end - 1:"),
+    ("the backward reach bound off by one, keeping a trigger that misses",
+     "if not e.backward or m.start - e.window >= c_end:",
+     "if not e.backward or m.start - e.window > c_end:"),
+    ("the cue-overlap skip dropped",
+     "            else:\n                continue  # the cue overlaps the concept\n",
+     ""),
+    ("annotate_records passing the run's first concept",
+     "scopes = _sentence_scopes(tokens, ruleset, trie)",
+     "scopes = resolve_scopes(find_matches_naive(ruleset, [t.lower() for t in tokens]), "
+     "ruleset, n, concept)"),
     ("every record of a run matched again",
      "if scopes is None:",
      "if True:"),

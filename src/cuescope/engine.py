@@ -32,7 +32,12 @@ skips resolution, and one with no scope skips assignment.
 :func:`annotate` is the one-record case.  It spells out the case fold and
 the match rather than calling the helper the record loop uses, and stops
 at the first empty step, so a cue-free sentence costs one span check, one
-case test and one matcher call.  Scope resolution reads each rule through
+case test and one matcher call.  It also passes its concept to
+:func:`resolve_scopes`, which then drops every trigger that cannot reach
+the concept before its pseudo test, its termination cuts and its
+scopes; the record loop passes none, as a run's scopes serve all its
+concepts.  A concept is a :class:`ConceptSpan` or any ``(start, end)``
+pair.  Scope resolution reads each rule through
 ``RuleSet.table``, built once per rule set, once per match; it tests
 pseudo overlaps and clamps windows with plain loops and comparisons, and
 builds each :class:`Scope` as a tuple.  A concept no scope reaches gets
@@ -125,11 +130,26 @@ _DEFAULT_VALUES = (NegationStatus.AFFIRMED, ExperiencerStatus.PATIENT, Temporali
 _NO_CUE = ContextAnnotation()
 
 
-def resolve_scopes(matches: Sequence[CueMatch], ruleset: RuleSet, sentence_len: int) -> list[Scope]:
+def resolve_scopes(
+    matches: Sequence[CueMatch],
+    ruleset: RuleSet,
+    sentence_len: int,
+    concept: ConceptSpan | None = None,
+) -> list[Scope]:
     """Apply pseudo suppression, windowing and termination truncation.
 
     Returns the surviving non-empty scopes in match order (bidirectional
     triggers contribute up to two, forward first).
+
+    With ``concept``, returns only the scopes of the triggers that can
+    reach it.  A trigger whose cue overlaps the concept, or whose window,
+    before truncation, misses it on each side the trigger acts on, is
+    dropped before its pseudo test, its termination cuts and its scopes.
+    As truncation only shrinks a scope, the result still holds every
+    scope that intersects the concept and whose cue does not overlap it,
+    the only ones assignment picks from.  It may hold others: the far
+    side of a bidirectional trigger, or a scope that a termination cut
+    short of the concept.
     """
     if not matches:
         return []
@@ -144,10 +164,22 @@ def resolve_scopes(matches: Sequence[CueMatch], ruleset: RuleSet, sentence_len: 
     # suppression, by the side they stop; a bidirectional one stops both
     forward_stops: list[tuple[int, int]] = []
     backward_stops: list[tuple[int, int]] = []
+    if concept is not None:
+        c_start, c_end = concept
     for m, e in zip(matches, entries):
         cue_type = e.cue_type
         if cue_type is _PSEUDO:
             continue
+        if concept is not None and cue_type is _TRIGGER:
+            # keep only a trigger whose windowed scope on some side reaches the concept
+            if m.end <= c_start:
+                if not e.forward or m.end + e.window <= c_start:
+                    continue
+            elif c_end <= m.start:
+                if not e.backward or m.start - e.window >= c_end:
+                    continue
+            else:
+                continue  # the cue overlaps the concept
         if pseudos:
             dim, m_start, m_end = e.dim_index, m.start, m.end
             suppressed = False
@@ -193,15 +225,16 @@ def resolve_scopes(matches: Sequence[CueMatch], ruleset: RuleSet, sentence_len: 
 
 def _cue_distance(cue: CueMatch, concept: ConceptSpan) -> int:
     """Token gap between the cue's nearest edge and the concept's."""
-    if cue.end <= concept.start:
-        return concept.start - cue.end
-    return cue.start - concept.end
+    c_start, c_end = concept
+    if cue.end <= c_start:
+        return c_start - cue.end
+    return cue.start - c_end
 
 
 def _assign(scopes: list[Scope], table: tuple[RuleEntry, ...], concept: ConceptSpan) -> ContextAnnotation:
     """Per dimension, the nearest-cue scope intersecting ``concept``."""
     best: dict[int, tuple[tuple, Scope]] = {}
-    c_start, c_end = concept.start, concept.end
+    c_start, c_end = concept
     for scope in scopes:
         if scope.end <= c_start or c_end <= scope.start:
             continue
@@ -243,7 +276,8 @@ def _sentence_scopes(tokens: Sequence[str], ruleset: RuleSet, trie: RuleTrie | N
 
 
 def _invalid_span(concept: ConceptSpan, n: int) -> InvalidSpan:
-    return InvalidSpan(f"concept [{concept.start}, {concept.end}) outside token range of length {n}")
+    start, end = concept
+    return InvalidSpan(f"concept [{start}, {end}) outside token range of length {n}")
 
 
 def annotate(
@@ -254,17 +288,20 @@ def annotate(
 ) -> ContextAnnotation:
     """Classify one concept mention within one sentence.
 
-    Matching runs through ``trie`` when given, else through the naive
-    reference matcher; the result is identical either way.  Tokens match
-    case-insensitively.  Raises :class:`InvalidSpan` when the concept lies
-    outside the token range, and ``ValueError`` when ``trie`` was built
-    from a different rule set.
+    ``concept`` is a :class:`ConceptSpan` or a plain ``(start, end)``
+    pair.  Matching runs through ``trie`` when given, else through the
+    naive reference matcher; the result is identical either way.  Tokens
+    match case-insensitively.  Raises :class:`InvalidSpan` when the
+    concept lies outside the token range, and ``ValueError`` when ``trie``
+    was built from a different rule set.
 
     It stops at the first empty step: a sentence with no match is not
     resolved, and one with no scope is not assigned.  The fold and the
     match of :func:`_sentence_scopes` are written out here, so that the
     commonest call, a sentence with no cue word, calls no engine helper,
-    only the matcher (README "Experiments" gives the gain).
+    only the matcher.  Resolution is directed at the concept: only the
+    triggers whose scopes can reach it are resolved (README "Experiments"
+    gives both gains).
     """
     if trie is not None and trie.ruleset is not ruleset:
         _check_trie(trie, ruleset)
@@ -281,7 +318,7 @@ def annotate(
         matches = find_matches_naive(ruleset, tokens)
     if not matches:
         return _NO_CUE
-    scopes = resolve_scopes(matches, ruleset, n)
+    scopes = resolve_scopes(matches, ruleset, n, concept)
     return _assign(scopes, ruleset.table, concept) if scopes else _NO_CUE
 
 
@@ -311,7 +348,8 @@ def annotate_records(
         if tokens != run_tokens:
             # a slice keeps the type, so equal tuples, like equal lists, compare equal
             run_tokens, n, scopes = tokens[:], len(tokens), None
-        if 0 <= concept.start < concept.end <= n:
+        start, end = concept
+        if 0 <= start < end <= n:
             if scopes is None:
                 scopes = _sentence_scopes(tokens, ruleset, trie)
             yield _assign(scopes, table, concept) if scopes else _NO_CUE

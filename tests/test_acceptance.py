@@ -24,6 +24,7 @@ from cuescope.engine import (
     NegationStatus,
     TemporalityStatus,
     annotate,
+    annotate_records,
 )
 from cuescope.evaluate import ClassMetrics, score
 from cuescope.matcher import build_trie, find_matches_naive, find_matches_trie
@@ -99,8 +100,11 @@ def test_c1_oracle_equivalence():
             start = rng.randrange(len(tokens))
             end = rng.randint(start + 1, len(tokens))
             concept = ConceptSpan(start, end)
-            assert annotate(tokens, concept, ruleset, trie) == \
-                annotate(tokens, concept, ruleset, None)
+            result = annotate(tokens, concept, ruleset, trie)
+            assert result == annotate(tokens, concept, ruleset, None)
+            # annotate resolves only the triggers that can reach the
+            # concept, annotate_records every trigger of the sentence
+            assert result == next(annotate_records([(tokens, concept)], ruleset, trie))
             cases += 1
     _criterion("C1 oracle-equivalence", cases >= 10_000, f"{cases} cases, all equal")
 

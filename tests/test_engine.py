@@ -2,9 +2,10 @@ import copy
 import io
 import pickle
 import random
+import re
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cuescope import engine
 from cuescope.corpus import GeneratorConfig, generate_corpus, generate_rules
@@ -451,6 +452,112 @@ def test_adding_pseudo_never_adds_non_default_without_terminations(ruleset, sc, 
     for dimension in Dimension:
         if dimension not in before.evidence:
             assert dimension not in after.evidence
+
+
+# --- resolve_scopes directed at one concept ---
+
+def _reaches(scope, concept):
+    """Whether ``scope`` can modify ``concept``: it intersects the concept,
+    and its cue does not overlap it."""
+    (c_start, c_end), cue = concept, scope.cue
+    return scope.start < c_end and c_start < scope.end and not (cue.start < c_end and c_start < cue.end)
+
+
+def _trigger_reaches(scope, concept, ruleset, n):
+    """Whether the trigger that cast ``scope`` can reach ``concept``: its cue
+    lies outside the concept, and its window on a side it acts on, before
+    truncation, intersects the concept."""
+    (c_start, c_end), cue = concept, scope.cue
+    if cue.start < c_end and c_start < cue.end:
+        return False
+    rule = ruleset.rules[cue.rule_id]
+    windows = []
+    if rule.direction is not Direction.BACKWARD:
+        windows.append((cue.end, min(cue.end + rule.window, n)))
+    if rule.direction is not Direction.FORWARD:
+        windows.append((max(cue.start - rule.window, 0), cue.start))
+    return any(start < c_end and c_start < end for start, end in windows)
+
+
+# dense in pseudos and terminations, short phrases so that cues crowd a sentence
+_dense_rule = st.builds(
+    ContextRule,
+    id=st.just(0),
+    phrase=st.lists(st.sampled_from(_vocab), min_size=1, max_size=2).map(tuple),
+    direction=st.sampled_from(Direction),
+    cue_type=st.sampled_from([CueType.TRIGGER, CueType.TRIGGER, CueType.PSEUDO, CueType.TERMINATION,
+                              CueType.TERMINATION]),
+    value=st.sampled_from(RuleValue),
+    window=st.integers(min_value=0, max_value=5),
+)
+
+
+def _rules(*rules):
+    return RuleSet.from_rules([r._replace(id=i) for i, r in enumerate(rules)])
+
+
+_ABCDE = ["a", "b", "c", "d", "e"]
+
+
+@settings(max_examples=400, deadline=None)
+@given(rule_sets(rules=_dense_rule, max_size=14), sentence_and_concept(max_len=14))
+# a forward scope [1, 3) ending exactly at the concept's start, and one reaching its first token
+@example(_rules(trigger("a", window=2)), (_ABCDE, ConceptSpan(3, 4)))
+@example(_rules(trigger("a", window=2)), (_ABCDE, ConceptSpan(2, 3)))
+# a backward scope [2, 4) starting exactly at the concept's end, and one reaching its last token
+@example(_rules(trigger("e", Direction.BACKWARD, window=2)), (_ABCDE, ConceptSpan(1, 2)))
+@example(_rules(trigger("e", Direction.BACKWARD, window=2)), (_ABCDE, ConceptSpan(1, 3)))
+# a cue adjacent to the concept on either side, and one inside it
+@example(_rules(trigger("b", Direction.BIDIRECTIONAL, window=1)), (_ABCDE, ConceptSpan(2, 3)))
+@example(_rules(trigger("b", Direction.BIDIRECTIONAL, window=1)), (_ABCDE, ConceptSpan(0, 1)))
+@example(_rules(trigger("b", window=5)), (_ABCDE, ConceptSpan(0, 3)))
+# a bidirectional trigger whose scopes [0, 2) and [3, 5) reach the concept on one side only
+@example(_rules(trigger("c", Direction.BIDIRECTIONAL, window=2)), (_ABCDE, ConceptSpan(4, 5)))
+@example(_rules(trigger("c", Direction.BIDIRECTIONAL, window=2)), (_ABCDE, ConceptSpan(0, 1)))
+# a termination cutting a reaching window short of the concept
+@example(_rules(trigger("a", window=5),
+                rule("c", Direction.FORWARD, CueType.TERMINATION, RuleValue.NEGATED, 30)),
+         (_ABCDE, ConceptSpan(3, 4)))
+def test_directed_resolution_keeps_the_scopes_of_the_triggers_that_reach_the_concept(ruleset, sc):
+    tokens, concept = sc
+    n = len(tokens)
+    matches = find_matches_naive(ruleset, tokens)
+    full = resolve_scopes(matches, ruleset, n)
+    directed = resolve_scopes(matches, ruleset, n, concept)
+    # every scope assignment can pick survives, and the kept scopes are
+    # exactly those of the triggers that can reach the concept
+    assert [s for s in directed if _reaches(s, concept)] == [s for s in full if _reaches(s, concept)]
+    assert directed == [s for s in full if _trigger_reaches(s, concept, ruleset, n)]
+    assert resolve_scopes(matches, ruleset, n, tuple(concept)) == directed
+
+
+def test_a_run_is_resolved_for_every_concept_not_only_its_first():
+    rs = _rules(trigger("no", window=1))
+    trie = build_trie(rs)
+    tokens = ["no", "a", "b", "c"]
+    # the first concept lies beyond the window; the second is in it
+    records = [(tokens, ConceptSpan(3, 4)), (tokens, ConceptSpan(1, 2))]
+    for t in (trie, None):
+        results = list(annotate_records(records, rs, t))
+        assert [r.negation for r in results] == [NegationStatus.AFFIRMED, NegationStatus.NEGATED]
+        assert results == [annotate(tokens, c, rs, t) for _, c in records]
+
+
+@pytest.mark.parametrize("with_trie", [True, False])
+def test_a_plain_tuple_concept_acts_as_a_concept_span(starter_rules, with_trie):
+    trie = build_trie(starter_rules) if with_trie else None
+    cue_free, cued = (["chest", "pain"], (0, 2)), (["no", "chest", "pain"], (1, 2))
+    for tokens, span in (cue_free, cued):
+        expected = annotate(tokens, ConceptSpan(*span), starter_rules, trie)
+        assert annotate(tokens, span, starter_rules, trie) == expected
+        assert list(annotate_records([(tokens, span)], starter_rules, trie)) == [expected]
+    assert annotate(*cued, starter_rules, trie).negation is NegationStatus.NEGATED
+    tokens, span = ["no", "chest", "pain"], (2, 4)
+    message = "concept [2, 4) outside token range of length 3"
+    with pytest.raises(InvalidSpan, match=re.escape(message)):
+        annotate(tokens, span, starter_rules, trie)
+    (result,) = annotate_records([(tokens, span)], starter_rules, trie)
+    assert isinstance(result, InvalidSpan) and str(result) == message
 
 
 # --- annotate_records over a batch of records ---
