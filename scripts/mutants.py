@@ -112,18 +112,15 @@ MUTANTS: list[tuple[str, str, str]] = [
      "            else:\n                continue  # the cue overlaps the concept\n",
      ""),
     ("annotate_records passing the run's first concept",
-     "scopes = _sentence_scopes(tokens, ruleset, trie)",
-     "scopes = resolve_scopes(find_matches_naive(ruleset, [t.lower() for t in tokens]), "
-     "ruleset, n, concept)"),
+     "scopes = resolve_scopes(matches, ruleset, n) if matches else []",
+     "scopes = resolve_scopes(matches, ruleset, n, concept) if matches else []"),
     ("every record of a run matched again",
      "if scopes is None:",
      "if True:"),
     ("a run matched before its first valid concept",
      "run_tokens, n, scopes = tokens[:], len(tokens), None",
-     "run_tokens, n, scopes = tokens[:], len(tokens), _sentence_scopes(tokens, ruleset, trie)"),
-    ("no case fold in a record loop",
-     "if joined != joined.lower():  # a new list only when case must fold",
-     "if False:"),
+     "run_tokens, n, scopes = tokens[:], len(tokens), (resolve_scopes(find_matches_trie(trie, tokens), "
+     "ruleset, len(tokens)) if trie is not None else None)"),
     ("wrong temporality default",
      "ExperiencerStatus.PATIENT, TemporalityStatus.RECENT)",
      "ExperiencerStatus.PATIENT, TemporalityStatus.HISTORICAL)"),
@@ -152,37 +149,50 @@ MUTANTS: list[tuple[str, str, str]] = [
      "first_words.isdisjoint(tokens)",
      "first_words.isdisjoint(tokens[:-1])"),
     ("the set test runs before case folding",
-     'if any."""\n    joined = "".join(tokens)\n',
-     'if any."""\n'
-     "    first_words = None if trie is None else trie._first_words\n"
+     'the deepest terminal hits.\n    """\n    joined = "".join(tokens)\n',
+     'the deepest terminal hits.\n    """\n'
+     "    first_words = trie._first_words\n"
      "    if first_words is not None and first_words.isdisjoint(tokens):\n"
      "        return []\n"
      '    joined = "".join(tokens)\n'),
+    ("the set test reads the caller's tokens, not the folded list",
+     'the deepest terminal hits.\n    """\n    joined = "".join(tokens)\n'
+     "    if joined != joined.lower():  # a new list only when case must fold\n"
+     "        tokens = [token.lower() for token in tokens]\n"
+     "    first_words = trie._first_words\n"
+     "    if first_words is not None and first_words.isdisjoint(tokens):\n",
+     'the deepest terminal hits.\n    """\n    given = tokens\n    joined = "".join(tokens)\n'
+     "    if joined != joined.lower():  # a new list only when case must fold\n"
+     "        tokens = [token.lower() for token in tokens]\n"
+     "    first_words = trie._first_words\n"
+     "    if first_words is not None and first_words.isdisjoint(given):\n"),
+    # case folding, owned by the matchers
+    ("no case fold in find_matches_trie",
+     "if joined != joined.lower():  # a new list only when case must fold\n"
+     "        tokens = [token.lower() for token in tokens]\n    first_words",
+     "if False:  # a new list only when case must fold\n"
+     "        tokens = [token.lower() for token in tokens]\n    first_words"),
+    ("no case fold in find_matches_naive",
+     "if joined != joined.lower():  # a new list only when case must fold\n"
+     "        tokens = [token.lower() for token in tokens]\n    n = len(tokens)",
+     "if False:  # a new list only when case must fold\n"
+     "        tokens = [token.lower() for token in tokens]\n    n = len(tokens)"),
     ("a cue-free run matched again at every record",
      "if scopes is None:",
      "if not scopes:"),
     # the one-record path
-    ("no case fold in annotate",
-     '        raise _invalid_span(concept, n)\n    joined = "".join(tokens)\n    if joined != joined.lower():\n',
-     '        raise _invalid_span(concept, n)\n    joined = "".join(tokens)\n    if False:\n'),
     ("the identity test taken for every trie",
      "if trie is not None and trie.ruleset is not ruleset:\n",
      "if False:\n"),
     ("a cue-free result returned before the span check",
      "    if not 0 <= start < end <= n:\n"
      "        raise _invalid_span(concept, n)\n"
-     '    joined = "".join(tokens)\n'
-     "    if joined != joined.lower():\n"
-     "        tokens = [token.lower() for token in tokens]\n"
      "    if trie is not None:\n"
      "        matches = find_matches_trie(trie, tokens)\n"
      "    else:\n"
      "        matches = find_matches_naive(ruleset, tokens)\n"
      "    if not matches:\n"
      "        return _NO_CUE\n",
-     '    joined = "".join(tokens)\n'
-     "    if joined != joined.lower():\n"
-     "        tokens = [token.lower() for token in tokens]\n"
      "    if trie is not None:\n"
      "        matches = find_matches_trie(trie, tokens)\n"
      "    else:\n"

@@ -29,22 +29,21 @@ next record, and matches and resolves each run of consecutive records with
 equal tokens once: at the run's first valid concept, whose scopes every
 later concept of the run is assigned from.  A sentence with no match
 skips resolution, and one with no scope skips assignment.
-:func:`annotate` is the one-record case.  It spells out the case fold and
-the match rather than calling the helper the record loop uses, and stops
-at the first empty step, so a cue-free sentence costs one span check, one
-case test and one matcher call.  It also passes its concept to
-:func:`resolve_scopes`, which then drops every trigger that cannot reach
-the concept before its pseudo test, its termination cuts and its
-scopes; the record loop passes none, as a run's scopes serve all its
-concepts.  A concept is a :class:`ConceptSpan` or any ``(start, end)``
-pair.  Scope resolution reads each rule through
+:func:`annotate` is the one-record case.  It stops at the first empty
+step, so a cue-free sentence costs one span check and one matcher call.
+It also passes its concept to :func:`resolve_scopes`, which then drops
+every trigger that cannot reach the concept before its pseudo test, its
+termination cuts and its scopes; the record loop passes none, as a run's
+scopes serve all its concepts.  A concept is a :class:`ConceptSpan` or
+any ``(start, end)`` pair.  Scope resolution reads each rule through
 ``RuleSet.table``, built once per rule set, once per match; it tests
 pseudo overlaps and clamps windows with plain loops and comparisons, and
 builds each :class:`Scope` as a tuple.  A concept no scope reaches gets
 one shared, immutable :class:`ContextAnnotation`.  All functions here are
 pure.
-Tokens are lowercased for matching, so every entry point is
-case-insensitive; :func:`resolve_scopes` reads only token counts.
+The matchers fold case, so every entry point is case-insensitive.  The
+engine reads only token counts, apart from the run check of
+:func:`annotate_records`, which compares tokens.
 """
 
 from __future__ import annotations
@@ -261,20 +260,6 @@ def _check_trie(trie: RuleTrie | None, ruleset: RuleSet) -> None:
         raise ValueError("the trie was built from a different rule set")
 
 
-def _sentence_scopes(tokens: Sequence[str], ruleset: RuleSet, trie: RuleTrie | None) -> list[Scope]:
-    """Match ``tokens``, lowercased as rule phrases are on load, through
-    ``trie`` when given, else through the naive reference matcher, and
-    resolve the scopes of the matches, if any."""
-    joined = "".join(tokens)
-    if joined != joined.lower():  # a new list only when case must fold
-        tokens = [token.lower() for token in tokens]
-    if trie is not None:
-        matches = find_matches_trie(trie, tokens)
-    else:
-        matches = find_matches_naive(ruleset, tokens)
-    return resolve_scopes(matches, ruleset, len(tokens)) if matches else []
-
-
 def _invalid_span(concept: ConceptSpan, n: int) -> InvalidSpan:
     start, end = concept
     return InvalidSpan(f"concept [{start}, {end}) outside token range of length {n}")
@@ -296,12 +281,11 @@ def annotate(
     was built from a different rule set.
 
     It stops at the first empty step: a sentence with no match is not
-    resolved, and one with no scope is not assigned.  The fold and the
-    match of :func:`_sentence_scopes` are written out here, so that the
-    commonest call, a sentence with no cue word, calls no engine helper,
-    only the matcher.  Resolution is directed at the concept: only the
-    triggers whose scopes can reach it are resolved (README "Experiments"
-    gives both gains).
+    resolved, and one with no scope is not assigned, so the commonest
+    call, a sentence with no cue word, calls only the matcher.  It reads
+    only the token count; the matcher folds case.  Resolution is directed
+    at the concept: only the triggers whose scopes can reach it are
+    resolved (README "Experiments" gives both gains).
     """
     if trie is not None and trie.ruleset is not ruleset:
         _check_trie(trie, ruleset)
@@ -309,9 +293,6 @@ def annotate(
     n = len(tokens)
     if not 0 <= start < end <= n:
         raise _invalid_span(concept, n)
-    joined = "".join(tokens)
-    if joined != joined.lower():
-        tokens = [token.lower() for token in tokens]
     if trie is not None:
         matches = find_matches_trie(trie, tokens)
     else:
@@ -351,7 +332,11 @@ def annotate_records(
         start, end = concept
         if 0 <= start < end <= n:
             if scopes is None:
-                scopes = _sentence_scopes(tokens, ruleset, trie)
+                if trie is not None:
+                    matches = find_matches_trie(trie, tokens)
+                else:
+                    matches = find_matches_naive(ruleset, tokens)
+                scopes = resolve_scopes(matches, ruleset, n) if matches else []
             yield _assign(scopes, table, concept) if scopes else _NO_CUE
         else:
             yield _invalid_span(concept, n)

@@ -20,8 +20,8 @@ Two interchangeable matchers produce identical output:
 
 Both return, for each start position, the longest match beginning there.
 When several rules match with the identical longest span they are all
-kept (they may target different dimensions).  Tokens must already be
-lowercased by the caller.
+kept (they may target different dimensions).  Tokens match in any case:
+both matchers fold case, and build a new list only when they must.
 """
 
 from __future__ import annotations
@@ -111,6 +111,9 @@ def find_matches_trie(trie: RuleTrie, tokens: Sequence[str]) -> list[CueMatch]:
     sentence and, in turn, the wildcard edge of every node it reaches
     (both may continue), keeping the deepest terminal hits.
     """
+    joined = "".join(tokens)
+    if joined != joined.lower():  # a new list only when case must fold
+        tokens = [token.lower() for token in tokens]
     first_words = trie._first_words
     if first_words is not None and first_words.isdisjoint(tokens):
         return []  # no token can start a cue
@@ -160,6 +163,9 @@ def find_matches_naive(ruleset: RuleSet, tokens: Sequence[str]) -> list[CueMatch
     longest match per start position.  Output is identical to
     :func:`find_matches_trie` on all inputs.
     """
+    joined = "".join(tokens)
+    if joined != joined.lower():  # a new list only when case must fold
+        tokens = [token.lower() for token in tokens]
     n = len(tokens)
     raw: list[tuple[int, int, int]] = []
     longest: dict[int, int] = {}

@@ -2,8 +2,10 @@
 
 This is the tests' independent oracle for the engine: instead of interval
 arithmetic it asks, for every (token, cue) pair, "does this cue affect
-this token?", quantifying over terminations explicitly.  It shares no
-code with the engine beyond the rule/match data types.
+this token?", quantifying over terminations explicitly.  Beyond the
+rule/match data types, it shares only the naive matcher
+(``find_matches_naive``) with the engine, and with it the matcher's case
+fold.
 """
 
 from cuescope.matcher import CueMatch, find_matches_naive

@@ -812,3 +812,25 @@ def test_a_cue_free_run_is_matched_once(starter_rules, monkeypatch):
     results = list(annotate_records(records, starter_rules, build_trie(starter_rules)))
     assert results == [ContextAnnotation()] * 3
     assert calls == [tokens]
+
+
+def test_the_engine_passes_the_callers_tokens_to_the_matcher(starter_rules, monkeypatch):
+    # the matchers fold case, so the engine hands them the caller's own list
+    seen = []
+
+    def spy(matcher):
+        def called(index, tokens):  # index: a trie or a rule set
+            seen.append(tokens)
+            return matcher(index, tokens)
+        return called
+
+    monkeypatch.setattr(engine, "find_matches_trie", spy(find_matches_trie))
+    monkeypatch.setattr(engine, "find_matches_naive", spy(find_matches_naive))
+    tokens = ["No", "MI"]
+    for trie in (build_trie(starter_rules), None):
+        seen.clear()
+        assert annotate(tokens, ConceptSpan(1, 2), starter_rules, trie).negation is NegationStatus.NEGATED
+        [result] = annotate_records([(tokens, ConceptSpan(1, 2))], starter_rules, trie)
+        assert result.negation is NegationStatus.NEGATED
+        assert len(seen) == 2 and all(passed is tokens for passed in seen)
+    assert tokens == ["No", "MI"]

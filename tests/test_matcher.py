@@ -134,6 +134,11 @@ def rule_sets(draw, max_size=15):
 
 
 tokens_strategy = st.lists(_sentence_token, max_size=14)
+# sentence words in any case, as a caller may pass them
+_mixed_case_tokens = st.lists(
+    st.one_of(_sentence_token, st.sampled_from(["A", "B", "Aa", "aB", "AB", "X", "Y"])),
+    max_size=14,
+)
 
 
 @settings(max_examples=300, deadline=None)
@@ -148,11 +153,18 @@ tokens_strategy = st.lists(_sentence_token, max_size=14)
 @example(make_rules(f"{WILDCARD} y"), ["q", "y"])
 # the only root-key word is the sentence's last token
 @example(make_rules("x"), ["a", "b", "x"])
-@given(rule_sets(), tokens_strategy)
+# the only cue word is capitalised and first: the set test must see it folded
+@example(make_rules("x"), ["X", "b"])
+@given(rule_sets(), _mixed_case_tokens)
 def test_trie_equals_naive(ruleset, tokens):
-    trie_out = find_matches_trie(build_trie(ruleset), tokens)
+    given_tokens = list(tokens)
+    trie = build_trie(ruleset)
+    trie_out = find_matches_trie(trie, tokens)
     naive_out = find_matches_naive(ruleset, tokens)
     assert trie_out == naive_out
+    # matching ignores case, and leaves the caller's list as it was
+    assert trie_out == find_matches_trie(trie, [token.lower() for token in tokens])
+    assert tokens == given_tokens
 
 
 def test_trie_equals_naive_on_long_sentences_dense_with_cues():
