@@ -156,16 +156,21 @@ MUTANTS: list[tuple[str, str, str]] = [
      "        return []\n"
      '    joined = "".join(tokens)\n'),
     ("the set test reads the caller's tokens, not the folded list",
-     'the deepest terminal hits.\n    """\n    joined = "".join(tokens)\n'
-     "    if joined != joined.lower():  # a new list only when case must fold\n"
-     "        tokens = [token.lower() for token in tokens]\n"
-     "    first_words = trie._first_words\n"
-     "    if first_words is not None and first_words.isdisjoint(tokens):\n",
-     'the deepest terminal hits.\n    """\n    given = tokens\n    joined = "".join(tokens)\n'
-     "    if joined != joined.lower():  # a new list only when case must fold\n"
-     "        tokens = [token.lower() for token in tokens]\n"
-     "    first_words = trie._first_words\n"
-     "    if first_words is not None and first_words.isdisjoint(given):\n"),
+     "first_words.isdisjoint(tokens)",
+     "first_words.isdisjoint(given)"),
+    # the trie's memo of its last cue-bearing sentence
+    ("the memo keys on the caller's own list, not a copy",
+     "memo[0] = (given[:], tuple(matches))",
+     "memo[0] = (given, tuple(matches))"),
+    ("the memo stores the list its caller receives",
+     "memo[0] = (given[:], tuple(matches))",
+     "memo[0] = (given[:], matches)"),
+    ("one memo shared by every trie",
+     'object.__setattr__(self, "_memo", [None])',
+     'object.__setattr__(self, "_memo", build_trie.__dict__.setdefault("memo", [None]))'),
+    ("a cue-free sentence written to the memo",
+     "return []  # no token can start a cue",
+     "trie._memo[0] = (given[:], ())\n        return []"),
     # case folding, owned by the matchers
     ("no case fold in find_matches_trie",
      "if joined != joined.lower():  # a new list only when case must fold\n"

@@ -285,7 +285,10 @@ def annotate(
     call, a sentence with no cue word, calls only the matcher.  It reads
     only the token count; the matcher folds case.  Resolution is directed
     at the concept: only the triggers whose scopes can reach it are
-    resolved (README "Experiments" gives both gains).
+    resolved (README "Experiments" gives the gains).  The trie keeps the
+    matches of the last sentence it walked, so several concepts of one
+    sentence, annotated one call at a time, match it once; each call
+    still resolves the scopes that can reach its own concept.
     """
     if trie is not None and trie.ruleset is not ruleset:
         _check_trie(trie, ruleset)

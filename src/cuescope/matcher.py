@@ -14,6 +14,14 @@ Two interchangeable matchers produce identical output:
   chain ends.  The winner is the deepest node's ``terminal_rules`` list
   itself, kept sorted by ``build_trie``; ids are copied and sorted only
   when two branches end at the same depth, which needs a wildcard branch.
+  Each trie keeps a memo of the last sentence it walked: a copy of the
+  caller's tokens and a tuple of their matches.  A sentence that passes
+  the set test and equals that copy gets a new list of the stored
+  matches and is not walked, so the concepts of one sentence, annotated
+  one call at a time, walk it once.  Only a walk writes the memo, in one
+  store of a new tuple; a sentence with no root-key word neither reads
+  nor writes it.  Threads may share a trie, since the entry is one
+  immutable tuple that a walk replaces whole.
 * :func:`find_matches_naive` scans rule by rule, the way loop-based
   engines do.  It is the reference oracle; its runtime grows linearly
   with the rule count, which is exactly what the benchmark measures.
@@ -64,15 +72,23 @@ class RuleTrie(_Frozen):
 
     ``_first_words`` holds the words a phrase can start with, or None when
     a phrase starts with a wildcard, so any word can.
+
+    ``_memo`` is a one-element list, the one part of a trie that changes:
+    it holds None or ``(copy of tokens, tuple of matches)`` for the last
+    sentence :func:`find_matches_trie` walked.  Threads may share a trie:
+    the entry is one immutable tuple, replaced whole, so a reader gets
+    either the old entry or the new one, and each caller a list of its
+    own.  A pickled or copied trie starts with an empty memo.
     """
 
-    __slots__ = ("root", "ruleset", "_first_words")
+    __slots__ = ("root", "ruleset", "_first_words", "_memo")
 
     def __init__(self, root: TrieNode, ruleset: RuleSet) -> None:
         first_words = None if root.wildcard_child is not None else frozenset(root.children)
         object.__setattr__(self, "root", root)
         object.__setattr__(self, "ruleset", ruleset)
         object.__setattr__(self, "_first_words", first_words)
+        object.__setattr__(self, "_memo", [None])
 
     def __reduce__(self) -> tuple:
         # pickle and copy rebuild it from its rule set, as the slots state
@@ -107,16 +123,23 @@ def build_trie(ruleset: RuleSet) -> RuleTrie:
 def find_matches_trie(trie: RuleTrie, tokens: Sequence[str]) -> list[CueMatch]:
     """All longest-at-start cue matches, sorted by (start, rule_id).
 
-    From each start position the walk follows the literal edges of the
-    sentence and, in turn, the wildcard edge of every node it reaches
-    (both may continue), keeping the deepest terminal hits.
+    A sentence equal to the last one walked gets a new list of the stored
+    matches.  Any other sentence with a root-key word is walked: from each
+    start position the walk follows the literal edges of the sentence
+    and, in turn, the wildcard edge of every node it reaches (both may
+    continue), keeping the deepest terminal hits.
     """
     joined = "".join(tokens)
+    given = tokens
     if joined != joined.lower():  # a new list only when case must fold
         tokens = [token.lower() for token in tokens]
     first_words = trie._first_words
     if first_words is not None and first_words.isdisjoint(tokens):
         return []  # no token can start a cue
+    memo = trie._memo
+    last = memo[0]
+    if last is not None and last[0] == given:
+        return list(last[1])
     matches: list[CueMatch] = []
     append = matches.append
     root = trie.root
@@ -155,6 +178,8 @@ def find_matches_trie(trie: RuleTrie, tokens: Sequence[str]) -> list[CueMatch]:
             node, pos = pending.pop()
         for rule_id in best:
             append(_new(CueMatch, (rule_id, start, best_end)))
+    # one store of a new tuple, so a thread never reads half an entry
+    memo[0] = (given[:], tuple(matches))
     return matches
 
 

@@ -252,7 +252,7 @@ def test_rule_sets_tries_and_results_are_immutable():
     trie = build_trie(rs)
     hit = annotate(["no", "mi"], ConceptSpan(1, 2), rs, trie)
     for obj, names in (
-        (rs, ("rules", "table")), (trie, ("root", "ruleset")), (rs[0], ContextRule._fields),
+        (rs, ("rules", "table")), (trie, ("root", "ruleset", "_memo")), (rs[0], ContextRule._fields),
         (hit, ContextAnnotation._fields), (ContextAnnotation(), ContextAnnotation._fields),
     ):
         for name in (*names, "other"):
@@ -834,3 +834,16 @@ def test_the_engine_passes_the_callers_tokens_to_the_matcher(starter_rules, monk
         assert result.negation is NegationStatus.NEGATED
         assert len(seen) == 2 and all(passed is tokens for passed in seen)
     assert tokens == ["No", "MI"]
+
+
+def test_only_the_trie_memoises_a_sentence(starter_rules):
+    # the concepts of one sentence, one call each: with the trie the second
+    # call reuses the first one's matches, the naive path matches afresh
+    tokens = ["no", "fever", "or", "chills"]
+    for trie in (build_trie(starter_rules), None):
+        fever = annotate(tokens, ConceptSpan(1, 2), starter_rules, trie)
+        chills = annotate(tokens, ConceptSpan(3, 4), starter_rules, trie)
+        assert fever.negation is chills.negation is NegationStatus.NEGATED
+        cues = fever.evidence[Dimension.NEGATION], chills.evidence[Dimension.NEGATION]
+        assert cues[0] == cues[1]
+        assert (cues[0] is cues[1]) is (trie is not None)

@@ -1,4 +1,6 @@
 import random
+import sys
+import threading
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -220,3 +222,95 @@ def test_matches_are_complete_and_longest(ruleset, tokens):
 def test_output_sorted_by_start_then_rule(ruleset, tokens):
     matches = find_matches_naive(ruleset, tokens)
     assert matches == sorted(matches, key=lambda m: (m.start, m.rule_id))
+
+
+# --- the trie's memo of its last cue-bearing sentence ---
+
+def test_a_cue_free_sentence_leaves_the_memo_alone():
+    trie = build_trie(make_rules("no", "denies"))
+    sentence = ["no", "fever", "denies", "pain"]
+    first = find_matches_trie(trie, sentence)
+    assert find_matches_trie(trie, ["mild", "fever"]) == []
+    again = find_matches_trie(trie, list(sentence))
+    # a hit: a new list of the very matches the walk built
+    assert again == first == [CueMatch(0, 0, 1), CueMatch(1, 2, 3)]
+    assert again is not first and all(a is b for a, b in zip(again, first))
+
+
+_pool_token = st.sampled_from(["a", "b", "x", "y", "A", "X"])
+
+
+@settings(max_examples=200, deadline=None)
+# one list refilled in place with another sentence
+@example(
+    make_rules("a"), make_rules("b"), [["a"], ["a", "a"]],
+    [(0, "refill", 0, False), (1, "refill", 0, False)],
+)
+# a result the caller mutates, then the same sentence again
+@example(make_rules("a"), make_rules("b"), [["a", "b"]], [(0, "new", 0, True), (0, "new", 0, False)])
+# the same sentence on two tries of different rules
+@example(make_rules("a"), make_rules("a b"), [["a", "b"]], [(0, "new", 0, False), (0, "new", 1, False)])
+@given(
+    rule_sets(),
+    rule_sets(),
+    st.lists(st.lists(_pool_token, max_size=8), min_size=1, max_size=3),
+    st.lists(
+        st.tuples(
+            st.integers(0, 2),
+            st.sampled_from(["new", "refill", "tuple", "case"]),
+            st.integers(0, 1),
+            st.booleans(),
+        ),
+        max_size=12,
+    ),
+)
+def test_memoised_calls_equal_naive(ruleset, other_rules, pool, calls):
+    rules_of = (ruleset, other_rules)
+    tries = (build_trie(ruleset), build_trie(other_rules))
+    buffer: list[str] = []
+    for index, kind, which, mutate in calls:
+        sentence = pool[index % len(pool)]
+        if kind == "refill":
+            buffer[:] = sentence
+            tokens = buffer
+        elif kind == "tuple":
+            tokens = tuple(sentence)
+        elif kind == "case":
+            tokens = [token.swapcase() for token in sentence]
+        else:
+            tokens = list(sentence)
+        result = find_matches_trie(tries[which], tokens)
+        assert result == find_matches_naive(rules_of[which], tokens)
+        if mutate:
+            result.reverse()
+            result.append(CueMatch(0, 0, 1))
+
+
+def test_threads_sharing_a_trie_get_the_naive_matches():
+    ruleset = generate_rules(7, 849)
+    trie = build_trie(ruleset)
+    words = sorted({word for rule in ruleset for word in rule.phrase if word != WILDCARD})
+    rng = random.Random(4)
+    sentences = [[rng.choice(words) for _ in range(20)] for _ in range(2)]
+    expected = [find_matches_naive(ruleset, tokens) for tokens in sentences]
+    assert expected[0] and expected[1] and expected[0] != expected[1]
+    wrong = []
+
+    def work(offset):
+        for i in range(2000):
+            k = (i + offset) % 2
+            if find_matches_trie(trie, sentences[k]) != expected[k]:
+                wrong.append(k)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, inside the walk too
+    try:
+        threads = [threading.Thread(target=work, args=(n,)) for n in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert wrong == []
