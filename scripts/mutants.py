@@ -108,6 +108,36 @@ MUTANTS: list[tuple[str, str, str]] = [
     ("the backward reach bound off by one, keeping a trigger that misses",
      "if not e.backward or m.start - e.window >= c_end:",
      "if not e.backward or m.start - e.window > c_end:"),
+    # the rule set's memo of its last directed resolution
+    ("the memo key without the sentence length",
+     "if last is not None and last[1] == sentence_len and last[0] == matches:",
+     "if last is not None and last[0] == matches:"),
+    ("the memo key holding the caller's own list, not a copy",
+     "memo[0] = (matches[:], sentence_len, None)",
+     "memo[0] = (matches, sentence_len, None)"),
+    ("the fill storing directed scopes instead of the full ones",
+     "for scope in _resolve_all(matches, ruleset, sentence_len):",
+     "for scope in resolve_scopes(matches, RuleSet(ruleset.rules), sentence_len, concept):"),
+    ("the hit's forward lower bound off by one",
+     "if f_lo <= c_start < f_hi or b_lo < c_end <= b_hi]",
+     "if f_lo < c_start < f_hi or b_lo < c_end <= b_hi]"),
+    ("the hit's forward upper bound off by one",
+     "if f_lo <= c_start < f_hi or b_lo < c_end <= b_hi]",
+     "if f_lo <= c_start <= f_hi or b_lo < c_end <= b_hi]"),
+    ("the hit's backward lower bound off by one",
+     "if f_lo <= c_start < f_hi or b_lo < c_end <= b_hi]",
+     "if f_lo <= c_start < f_hi or b_lo <= c_end <= b_hi]"),
+    ("the hit's backward upper bound off by one",
+     "if f_lo <= c_start < f_hi or b_lo < c_end <= b_hi]",
+     "if f_lo <= c_start < f_hi or b_lo < c_end < b_hi]"),
+    ("one memo shared by every rule set",
+     'object.__setattr__(self, "table", tuple(map(_entry, rules)))\n'
+     '        object.__setattr__(self, "_memo", [None])',
+     'object.__setattr__(self, "table", tuple(map(_entry, rules)))\n'
+     '        object.__setattr__(self, "_memo", globals().setdefault("_MEMO", [None]))'),
+    ("an undirected call that reads the memo",
+     "    if concept is not None:\n        memo = ruleset._memo\n",
+     "    if True:\n        memo = ruleset._memo\n"),
     ("the cue-overlap skip dropped",
      "            else:\n                continue  # the cue overlaps the concept\n",
      ""),
@@ -166,8 +196,10 @@ MUTANTS: list[tuple[str, str, str]] = [
      "memo[0] = (given[:], tuple(matches))",
      "memo[0] = (given[:], matches)"),
     ("one memo shared by every trie",
-     'object.__setattr__(self, "_memo", [None])',
-     'object.__setattr__(self, "_memo", build_trie.__dict__.setdefault("memo", [None]))'),
+     'object.__setattr__(self, "_first_words", first_words)\n'
+     '        object.__setattr__(self, "_memo", [None])',
+     'object.__setattr__(self, "_first_words", first_words)\n'
+     '        object.__setattr__(self, "_memo", build_trie.__dict__.setdefault("memo", [None]))'),
     ("a cue-free sentence written to the memo",
      "return []  # no token can start a cue",
      "trie._memo[0] = (given[:], ())\n        return []"),
@@ -261,8 +293,8 @@ MUTANTS: list[tuple[str, str, str]] = [
      "return self.rules == other.rules",
      "return True"),
     ("an assignable RuleSet.table",
-     '__slots__ = ("rules", "table")',
-     '__slots__ = ("rules", "table")\n\n'
+     '__slots__ = ("rules", "table", "_memo")',
+     '__slots__ = ("rules", "table", "_memo")\n\n'
      "    def __setattr__(self, name, value):\n"
      '        if name != "table":\n'
      "            _Frozen.__setattr__(self, name, value)\n"

@@ -34,13 +34,19 @@ step, so a cue-free sentence costs one span check and one matcher call.
 It also passes its concept to :func:`resolve_scopes`, which then drops
 every trigger that cannot reach the concept before its pseudo test, its
 termination cuts and its scopes; the record loop passes none, as a run's
-scopes serve all its concepts.  A concept is a :class:`ConceptSpan` or
+scopes serve all its concepts.  A directed call memoises on the rule set:
+the next call with equal matches and length resolves the sentence in
+full and keeps each scope with the concepts its trigger reaches, and the
+calls after it pick their scopes from that store.  So the concepts of one
+sentence, annotated one call at a time, resolve it once, as the trie's
+memo has them match it once.  A concept is a :class:`ConceptSpan` or
 any ``(start, end)`` pair.  Scope resolution reads each rule through
 ``RuleSet.table``, built once per rule set, once per match; it tests
 pseudo overlaps and clamps windows with plain loops and comparisons, and
 builds each :class:`Scope` as a tuple.  A concept no scope reaches gets
-one shared, immutable :class:`ContextAnnotation`.  All functions here are
-pure.
+one shared, immutable :class:`ContextAnnotation`.  Every result here
+depends on the inputs only: the trie and the rule set each keep a
+one-entry memo of their last sentence, and no memo changes a result.
 The matchers fold case, so every entry point is case-insensitive.  The
 engine reads only token counts, apart from the run check of
 :func:`annotate_records`, which compares tokens.
@@ -149,10 +155,47 @@ def resolve_scopes(
     the only ones assignment picks from.  It may hold others: the far
     side of a bidirectional trigger, or a scope that a termination cut
     short of the concept.
+
+    A call with ``concept`` memoises on ``ruleset``, whose ``_memo`` keeps
+    the matches and length of the last such call.  A call with other
+    matches or another length resolves as above and stores a copy of
+    them.  The first call with equal ones resolves the sentence in full
+    and stores every scope with the concepts its trigger reaches: on its
+    forward side those that start in ``[cue.end, cue.end + window)``, on
+    its backward side those that end in ``(cue.start - window,
+    cue.start]``.  Later equal calls pick the scopes whose trigger
+    reaches their concept from that store.  Every call returns a new
+    list, equal to what a rule set with an empty memo returns, so a
+    result depends on the inputs only.  A call without ``concept``
+    neither reads nor writes the memo.
     """
     if not matches:
         return []
     table = ruleset.table
+    if concept is not None:
+        memo = ruleset._memo
+        last = memo[0]
+        if last is not None and last[1] == sentence_len and last[0] == matches:
+            reach = last[2]
+            if reach is None:
+                reach = []
+                for scope in _resolve_all(matches, ruleset, sentence_len):
+                    cue = scope.cue
+                    _, _, _, forward, backward, window, _, _ = table[cue.rule_id]
+                    # (scope, forward [lo, hi) of the concept's start, backward
+                    # (lo, hi] of its end); a side the trigger does not act on is empty
+                    reach.append((
+                        scope,
+                        cue.end, cue.end + window if forward else cue.end,
+                        cue.start - window if backward else cue.start, cue.start,
+                    ))
+                memo[0] = (last[0], sentence_len, reach)
+            c_start, c_end = concept
+            return [scope for scope, f_lo, f_hi, b_lo, b_hi in reach
+                    if f_lo <= c_start < f_hi or b_lo < c_end <= b_hi]
+        # one store of a new tuple, so a thread never reads half an entry
+        memo[0] = (matches[:], sentence_len, None)
+        c_start, c_end = concept
     entries = [table[rule_id] for rule_id, _, _ in matches]
     # (start, end, dimension index) of every pseudo match
     pseudos = [
@@ -163,8 +206,6 @@ def resolve_scopes(
     # suppression, by the side they stop; a bidirectional one stops both
     forward_stops: list[tuple[int, int]] = []
     backward_stops: list[tuple[int, int]] = []
-    if concept is not None:
-        c_start, c_end = concept
     for m, e in zip(matches, entries):
         cue_type = e.cue_type
         if cue_type is _PSEUDO:
@@ -220,6 +261,12 @@ def resolve_scopes(
             if start < end:
                 scopes.append(_new(Scope, (m, dimension, value, start, end)))
     return scopes
+
+
+#: The fill's full resolution: the function itself, called through a name
+#: that a tracer wrapping ``resolve_scopes`` leaves alone, so that one call
+#: makes one resolution span.
+_resolve_all = resolve_scopes
 
 
 def _cue_distance(cue: CueMatch, concept: ConceptSpan) -> int:
@@ -287,8 +334,9 @@ def annotate(
     at the concept: only the triggers whose scopes can reach it are
     resolved (README "Experiments" gives the gains).  The trie keeps the
     matches of the last sentence it walked, so several concepts of one
-    sentence, annotated one call at a time, match it once; each call
-    still resolves the scopes that can reach its own concept.
+    sentence, annotated one call at a time, match it once, and the rule
+    set keeps the scopes of the last matches it resolved, so they resolve
+    it once; each call still assigns its own concept.
     """
     if trie is not None and trie.ruleset is not ruleset:
         _check_trie(trie, ruleset)

@@ -105,6 +105,12 @@ def test_c1_oracle_equivalence():
             # annotate resolves only the triggers that can reach the
             # concept, annotate_records every trigger of the sentence
             assert result == next(annotate_records([(tokens, concept)], ruleset, trie))
+            # a second concept of the sentence: the two calls above missed
+            # and filled the rule set's memo, so these two pick from it
+            other = ConceptSpan(len(tokens) - end, len(tokens) - start)
+            result = annotate(tokens, other, ruleset, trie)
+            assert result == annotate(tokens, other, ruleset, None)
+            assert result == next(annotate_records([(tokens, other)], ruleset, trie))
             cases += 1
     _criterion("C1 oracle-equivalence", cases >= 10_000, f"{cases} cases, all equal")
 

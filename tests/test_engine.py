@@ -3,6 +3,8 @@ import io
 import pickle
 import random
 import re
+import sys
+import threading
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -252,7 +254,8 @@ def test_rule_sets_tries_and_results_are_immutable():
     trie = build_trie(rs)
     hit = annotate(["no", "mi"], ConceptSpan(1, 2), rs, trie)
     for obj, names in (
-        (rs, ("rules", "table")), (trie, ("root", "ruleset", "_memo")), (rs[0], ContextRule._fields),
+        (rs, ("rules", "table", "_memo")), (trie, ("root", "ruleset", "_memo")),
+        (rs[0], ContextRule._fields),
         (hit, ContextAnnotation._fields), (ContextAnnotation(), ContextAnnotation._fields),
     ):
         for name in (*names, "other"):
@@ -269,7 +272,14 @@ def test_rule_sets_and_tries_pickle_and_copy():
     trie = build_trie(rules)
     records = [(r.tokens, r.concept) for r in generate_corpus(GeneratorConfig(3, 200, 0.8), rules)]
     expected = list(annotate_records(records, rules, trie))
+    # two directed calls on one sentence fill the rule set's memo
+    cued = next(tokens for tokens, _ in records if find_matches_naive(rules, tokens))
+    for concept in (ConceptSpan(0, 1), ConceptSpan(len(cued) - 1, len(cued))):
+        annotate(cued, concept, rules, trie)
+    assert rules._memo[0] is not None and rules._memo[0][2] is not None
     clones = [pickle.loads(pickle.dumps((rules, trie))), copy.deepcopy((rules, trie))]
+    for clone in (copy.copy(rules), *(clone_rules for clone_rules, _ in clones)):
+        assert clone._memo == [None] and clone._memo is not rules._memo
     for clone_rules, clone_trie in clones:
         assert clone_trie.ruleset is clone_rules
         assert clone_rules == rules and clone_rules is not rules
@@ -521,13 +531,15 @@ _ABCDE = ["a", "b", "c", "d", "e"]
 def test_directed_resolution_keeps_the_scopes_of_the_triggers_that_reach_the_concept(ruleset, sc):
     tokens, concept = sc
     n = len(tokens)
+    ruleset = RuleSet(ruleset.rules)  # an empty memo: the calls below miss, fill, then hit it
     matches = find_matches_naive(ruleset, tokens)
     full = resolve_scopes(matches, ruleset, n)
-    directed = resolve_scopes(matches, ruleset, n, concept)
-    # every scope assignment can pick survives, and the kept scopes are
-    # exactly those of the triggers that can reach the concept
-    assert [s for s in directed if _reaches(s, concept)] == [s for s in full if _reaches(s, concept)]
-    assert directed == [s for s in full if _trigger_reaches(s, concept, ruleset, n)]
+    for _ in range(3):
+        directed = resolve_scopes(matches, ruleset, n, concept)
+        # every scope assignment can pick survives, and the kept scopes are
+        # exactly those of the triggers that can reach the concept
+        assert [s for s in directed if _reaches(s, concept)] == [s for s in full if _reaches(s, concept)]
+        assert directed == [s for s in full if _trigger_reaches(s, concept, ruleset, n)]
     assert resolve_scopes(matches, ruleset, n, tuple(concept)) == directed
 
 
@@ -837,13 +849,129 @@ def test_the_engine_passes_the_callers_tokens_to_the_matcher(starter_rules, monk
 
 
 def test_only_the_trie_memoises_a_sentence(starter_rules):
-    # the concepts of one sentence, one call each: with the trie the second
-    # call reuses the first one's matches, the naive path matches afresh
+    # the concepts of one sentence, one call each, through either matcher
     tokens = ["no", "fever", "or", "chills"]
-    for trie in (build_trie(starter_rules), None):
-        fever = annotate(tokens, ConceptSpan(1, 2), starter_rules, trie)
-        chills = annotate(tokens, ConceptSpan(3, 4), starter_rules, trie)
+    trie = build_trie(starter_rules)
+    for matcher in (trie, None):
+        fever = annotate(tokens, ConceptSpan(1, 2), starter_rules, matcher)
+        chills = annotate(tokens, ConceptSpan(3, 4), starter_rules, matcher)
         assert fever.negation is chills.negation is NegationStatus.NEGATED
-        cues = fever.evidence[Dimension.NEGATION], chills.evidence[Dimension.NEGATION]
-        assert cues[0] == cues[1]
-        assert (cues[0] is cues[1]) is (trie is not None)
+        assert fever.evidence[Dimension.NEGATION] == chills.evidence[Dimension.NEGATION]
+    # the trie's memo returns the very matches of its walk; the naive
+    # matcher builds new ones on every call
+    walked, again = find_matches_trie(trie, tokens), find_matches_trie(trie, tokens)
+    first, second = find_matches_naive(starter_rules, tokens), find_matches_naive(starter_rules, tokens)
+    assert walked == again == first == second != []
+    assert all(a is b for a, b in zip(walked, again))
+    assert not any(a is b for a, b in zip(first, second))
+
+
+# --- the rule set's memo of its last directed resolution ---
+
+_memo_call = st.tuples(
+    st.integers(0, 2),  # sentence of the pool
+    st.sampled_from(["directed", "undirected", "trie", "naive"]),
+    st.integers(0, 1),  # rule set
+    st.integers(0, 2),  # tokens added to the length resolve_scopes is given
+    st.integers(0, 99),  # concept start, folded into the length
+    st.integers(0, 99),  # concept length, folded into what is left
+    st.booleans(),  # matches passed in one list, refilled in place
+    st.booleans(),  # a plain-tuple concept
+    st.booleans(),  # the caller mutates a returned list
+)
+
+
+def _call(index, kind, which=0, extra=0, start=0, size=0, refill=False, plain=False, mutate=False):
+    return (index, kind, which, extra, start, size, refill, plain, mutate)
+
+
+_ACC = ["a", "c", "c"]
+
+
+@settings(max_examples=200, deadline=None)
+# equal matches with another length: the key holds the length
+@example(_rules(trigger("a", window=5)), _rules(trigger("a")), [_ACC],
+         [_call(0, "directed", start=1), _call(0, "directed", extra=2, start=1),
+          _call(0, "directed", start=1)])
+# one list refilled in place: the key is a copy of the matches
+@example(_rules(trigger("a", window=5)), _rules(trigger("a")), [_ACC, ["c", "a", "c"]],
+         [_call(0, "directed", start=2, refill=True), _call(1, "directed", start=2, refill=True),
+          _call(0, "directed", start=2, refill=True)])
+# the fill stores the scopes of every trigger, not only of those that reach its concept
+@example(_rules(trigger("a", window=1), trigger("c", window=1)), _rules(trigger("a")),
+         [["a", "b", "c", "d"]],
+         [_call(0, "directed", start=1), _call(0, "directed", start=3), _call(0, "directed", start=1)])
+# equal matches of two rule sets: each keeps its own memo
+@example(_rules(trigger("a", window=5)), _rules(trigger("a", Direction.BACKWARD, window=5)),
+         [["c", "a", "c"]],
+         [_call(0, "directed", 0, start=2), _call(0, "directed", 1, start=0),
+          _call(0, "directed", 0, start=2)])
+# an undirected call after a directed one on the same matches
+@example(_rules(trigger("a", window=5)), _rules(trigger("a")), [_ACC],
+         [_call(0, "directed", start=1), _call(0, "undirected"), _call(0, "directed", start=2),
+          _call(0, "undirected", mutate=True), _call(0, "directed", start=1, mutate=True)])
+@given(
+    rule_sets(rules=_dense_rule, max_size=8),
+    rule_sets(rules=_dense_rule, max_size=8),
+    st.lists(st.lists(st.sampled_from(["a", "b", "c", "d", "e", "aa"]), min_size=1, max_size=8),
+             min_size=1, max_size=3),
+    st.lists(_memo_call, max_size=12),
+)
+def test_memoised_resolution_equals_an_empty_memo(ruleset, other_rules, pool, calls):
+    rule_sets_ = (RuleSet(ruleset.rules), RuleSet(other_rules.rules))
+    tries = tuple(map(build_trie, rule_sets_))
+    buffer: list = []
+    for index, kind, which, extra, start, size, refill, plain, mutate in calls:
+        rs, tokens = rule_sets_[which], pool[index % len(pool)]
+        n = len(tokens) + (extra if kind in ("directed", "undirected") else 0)
+        start %= n
+        span = (start, start + 1 + size % (n - start))
+        concept = span if plain else ConceptSpan(*span)
+        # a rule set with an empty memo, equal to rs
+        fresh = RuleSet(rs.rules)
+        if kind in ("trie", "naive"):
+            trie = tries[which] if kind == "trie" else None
+            assert annotate(tokens, concept, rs, trie) == annotate(tokens, concept, fresh)
+            continue
+        matches = find_matches_naive(rs, tokens)
+        if refill:
+            buffer[:] = matches
+            matches = buffer
+        directed = concept if kind == "directed" else None
+        result = resolve_scopes(matches, rs, n, directed)
+        assert result == resolve_scopes(matches, fresh, n, directed)
+        if mutate:
+            result.reverse()
+            result.append(None)
+
+
+def test_threads_sharing_a_rule_set_get_the_results_of_an_empty_memo():
+    ruleset = generate_rules(7, 849)
+    trie = build_trie(ruleset)
+    words = sorted({word for rule in ruleset for word in rule.phrase if word != WILDCARD})
+    rng = random.Random(3)
+    sentences = [[rng.choice(words) for _ in range(20)] for _ in range(2)]
+    concepts = [ConceptSpan(i, i + 1) for i in range(0, 20, 2)]
+    expected = [[annotate(tokens, c, RuleSet(ruleset.rules)) for c in concepts] for tokens in sentences]
+    assert expected[0] != expected[1] and all(len(set(map(repr, e))) > 1 for e in expected)
+    wrong = []
+
+    def work(offset):
+        for i in range(300):
+            k = (i + offset) % 2
+            for concept, want in zip(concepts, expected[k]):
+                if annotate(sentences[k], concept, ruleset, trie) != want:
+                    wrong.append((k, concept))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, inside a fill too
+    try:
+        threads = [threading.Thread(target=work, args=(n,)) for n in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert wrong == []
