@@ -40,11 +40,18 @@ full and keeps each scope with the concepts its trigger reaches, and the
 calls after it pick their scopes from that store.  So the concepts of one
 sentence, annotated one call at a time, resolve it once, as the trie's
 memo has them match it once.  A concept is a :class:`ConceptSpan` or
-any ``(start, end)`` pair.  Scope resolution reads each rule through
-``RuleSet.table``, built once per rule set, once per match; it tests
-pseudo overlaps and clamps windows with plain loops and comparisons, and
-builds each :class:`Scope` as a tuple.  A concept no scope reaches gets
-one shared, immutable :class:`ContextAnnotation`.  Every result here
+any ``(start, end)`` pair.
+
+Scope resolution is one pass over the matches, which the matchers return
+sorted by start; it reads each rule through ``RuleSet.table``, built
+once per rule set, once per match.  Step 1 marks, per dimension, the
+tokens its pseudo matches cover in a byte array, and drops a trigger or
+termination with a marked token.  Step 3 keeps, per dimension, the
+forward stops in the order they arrive and the backward stops sorted,
+and finds each scope's nearest cut by bisection.  So a call costs time
+linear in its matches, apart from that sort and one bisection a scope.
+Each :class:`Scope` is built as a tuple.  A concept no scope reaches
+gets one shared, immutable :class:`ContextAnnotation`.  Every result here
 depends on the inputs only: the trie and the rule set each keep a
 one-entry memo of their last sentence, and no memo changes a result.
 The matchers fold case, so every entry point is case-insensitive.  The
@@ -54,6 +61,7 @@ engine reads only token counts, apart from the run check of
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -144,7 +152,23 @@ def resolve_scopes(
     """Apply pseudo suppression, windowing and termination truncation.
 
     Returns the surviving non-empty scopes in match order (bidirectional
-    triggers contribute up to two, forward first).
+    triggers contribute up to two, forward first).  ``matches`` is sorted
+    by start, as both matchers return it.
+
+    One loop reads each match's table entry once.  It marks, per
+    dimension, the tokens that pseudo matches cover, in a byte array as
+    long as the furthest pseudo end (not ``sentence_len``, which no
+    suppression depends on), and keeps the triggers and terminations in
+    match order.  A trigger or termination with a covered token of its
+    dimension is suppressed.  The surviving terminations give each
+    dimension its forward stops (start tokens, ascending since the
+    matches are) and backward stops (end tokens, sorted).  A forward
+    scope ``[start, end)`` is cut at the first forward stop after
+    ``start``, found by ``bisect_right``, when that stop is below
+    ``end``; a backward one at the last backward stop before ``end``,
+    found by ``bisect_left``, when that stop is above ``start``.  So a
+    call costs time linear in the matches, apart from sorting the
+    backward stops and a logarithmic search per scope.
 
     With ``concept``, returns only the scopes of the triggers that can
     reach it.  A trigger whose cue overlaps the concept, or whose window,
@@ -196,68 +220,83 @@ def resolve_scopes(
         # one store of a new tuple, so a thread never reads half an entry
         memo[0] = (matches[:], sentence_len, None)
         c_start, c_end = concept
-    entries = [table[rule_id] for rule_id, _, _ in matches]
-    # (start, end, dimension index) of every pseudo match
-    pseudos = [
-        (m.start, m.end, e.dim_index) for m, e in zip(matches, entries) if e.cue_type is _PSEUDO
-    ]
-    triggers: list[tuple[CueMatch, RuleEntry]] = []
-    # (token, dimension index) of the terminations that survive
-    # suppression, by the side they stop; a bidirectional one stops both
-    forward_stops: list[tuple[int, int]] = []
-    backward_stops: list[tuple[int, int]] = []
-    for m, e in zip(matches, entries):
+    triggers: list[tuple[CueMatch, RuleEntry]] = []  # the kept ones, in match order
+    terminations: list[tuple[CueMatch, RuleEntry]] = []
+    # dimension index -> 1 at each token a pseudo match of the dimension
+    # covers, sized by the pseudos' ends and not by sentence_len
+    covered: dict[int, bytearray] = {}
+    for m in matches:
+        rule_id, m_start, m_end = m
+        e = table[rule_id]
         cue_type = e.cue_type
-        if cue_type is _PSEUDO:
-            continue
-        if concept is not None and cue_type is _TRIGGER:
-            # keep only a trigger whose windowed scope on some side reaches the concept
-            if m.end <= c_start:
-                if not e.forward or m.end + e.window <= c_start:
-                    continue
-            elif c_end <= m.start:
-                if not e.backward or m.start - e.window >= c_end:
-                    continue
-            else:
-                continue  # the cue overlaps the concept
-        if pseudos:
-            dim, m_start, m_end = e.dim_index, m.start, m.end
-            suppressed = False
-            for p_start, p_end, p_dim in pseudos:
-                if p_dim == dim and p_start < m_end and m_start < p_end:
-                    suppressed = True
-                    break
-            if suppressed:
-                continue
         if cue_type is _TRIGGER:
+            if concept is not None:
+                # keep only a trigger whose windowed scope on some side reaches the concept
+                if m_end <= c_start:
+                    if not e.forward or m_end + e.window <= c_start:
+                        continue
+                elif c_end <= m_start:
+                    if not e.backward or m_start - e.window >= c_end:
+                        continue
+                else:
+                    continue  # the cue overlaps the concept
             triggers.append((m, e))
-            continue
-        if e.forward:
-            forward_stops.append((m.start, e.dim_index))
-        if e.backward:
-            backward_stops.append((m.end, e.dim_index))
+        elif cue_type is _PSEUDO:
+            cover = covered.setdefault(e.dim_index, bytearray())
+            if len(cover) < m_end:
+                cover.extend(bytes(m_end - len(cover)))
+            cover[m_start:m_end] = b"\1" * (m_end - m_start)
+        else:
+            terminations.append((m, e))
+
+    # dimension index -> the stop positions of its surviving terminations,
+    # ascending: a forward stop is a start, and starts arrive in order; a
+    # backward stop is an end, sorted below.  A bidirectional one stops both.
+    forward_stops: dict[int, list[int]] = {}
+    backward_stops: dict[int, list[int]] = {}
+    for (_, m_start, m_end), (_, dim, _, forward, backward, _, _, _) in terminations:
+        if covered:
+            cover = covered.get(dim)
+            if cover is not None and cover.find(1, m_start, m_end) >= 0:
+                continue  # a pseudo of its dimension covers one of its tokens
+        if forward:
+            forward_stops.setdefault(dim, []).append(m_start)
+        if backward:
+            backward_stops.setdefault(dim, []).append(m_end)
+    for stops in backward_stops.values():
+        stops.sort()
 
     scopes: list[Scope] = []
     for m, (_, dim, dimension, forward, backward, window, value, _) in triggers:
+        _, m_start, m_end = m
+        if covered:
+            cover = covered.get(dim)
+            if cover is not None and cover.find(1, m_start, m_end) >= 0:
+                continue
         if forward:
-            start = m.end
+            start = m_end
             end = start + window
             if end > sentence_len:
                 end = sentence_len
-            # a forward-stopping termination starting inside the scope cuts it
-            for stop, stop_dim in forward_stops:
-                if stop_dim == dim and start < stop < end:
-                    end = stop
+            # the nearest forward stop after the scope's first token cuts it
+            stops = forward_stops.get(dim)
+            if stops:
+                i = bisect_right(stops, start)
+                if i < len(stops) and stops[i] < end:
+                    end = stops[i]
             if start < end:
                 scopes.append(_new(Scope, (m, dimension, value, start, end)))
         if backward:
-            end = m.start
+            end = m_start
             start = end - window
             if start < 0:
                 start = 0
-            for stop, stop_dim in backward_stops:
-                if stop_dim == dim and start < stop < end:
-                    start = stop
+            # the nearest backward stop before the scope's end cuts it
+            stops = backward_stops.get(dim)
+            if stops:
+                i = bisect_left(stops, end) - 1
+                if i >= 0 and stops[i] > start:
+                    start = stops[i]
             if start < end:
                 scopes.append(_new(Scope, (m, dimension, value, start, end)))
     return scopes
@@ -282,24 +321,26 @@ def _assign(scopes: list[Scope], table: tuple[RuleEntry, ...], concept: ConceptS
     best: dict[int, tuple[tuple, Scope]] = {}
     c_start, c_end = concept
     for scope in scopes:
-        if scope.end <= c_start or c_end <= scope.start:
+        cue, _, _, start, end = scope
+        if end <= c_start or c_end <= start:
             continue
-        cue = scope.cue
-        if cue.start < c_end and c_start < cue.end:
+        rule_id, cue_start, cue_end = cue
+        if cue_start < c_end and c_start < cue_end:
             continue  # a cue never modifies a concept it is part of
-        entry = table[cue.rule_id]
-        key = (_cue_distance(cue, concept), entry.rank, cue.start, cue.rule_id)
-        current = best.get(entry.dim_index)
+        _, dim, _, _, _, _, _, rank = table[rule_id]
+        key = (_cue_distance(cue, concept), rank, cue_start, rule_id)
+        current = best.get(dim)
         if current is None or key < current[0]:
-            best[entry.dim_index] = (key, scope)
+            best[dim] = (key, scope)
     if not best:
         return _NO_CUE
-    values = list(_DEFAULT_VALUES)
+    fields: list = list(_DEFAULT_VALUES)
     evidence: dict[Dimension, CueMatch] = {}
-    for dim, (_, scope) in best.items():
-        values[dim] = scope.value
-        evidence[scope.dimension] = scope.cue
-    return _annotation(*values, evidence)
+    for dim, (_, (cue, dimension, value, _, _)) in best.items():
+        fields[dim] = value
+        evidence[dimension] = cue
+    fields.append(MappingProxyType(evidence))
+    return _new(ContextAnnotation, fields)
 
 
 def _check_trie(trie: RuleTrie | None, ruleset: RuleSet) -> None:

@@ -2,16 +2,20 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines and the
 benchmark table.  The timing criteria (C2, C3) share one ramp run at the
-reference configuration and dominate the suite's wall time.
+reference configuration and dominate the suite's wall time; the third,
+C8, times scope resolution on two long sentences in about a second.
 """
 
+import gc
 import io
 import random
+import time
 
 import pytest
 
 from cuescope.bench import BenchConfig, emit_report, run_accuracy_ramp, run_ramp, spearman
 from cuescope.corpus import (
+    FILLER_VOCAB,
     GeneratorConfig,
     generate_corpus,
     generate_rules,
@@ -25,6 +29,7 @@ from cuescope.engine import (
     TemporalityStatus,
     annotate,
     annotate_records,
+    resolve_scopes,
 )
 from cuescope.evaluate import ClassMetrics, score
 from cuescope.matcher import build_trie, find_matches_naive, find_matches_trie
@@ -150,6 +155,59 @@ def test_c3_relative_speedup(reference_ramp):
     trie = _means(reference_ramp, "trie")
     speedup = naive[849] / trie[849]
     _criterion("C3 relative-speedup", speedup >= 10.0, f"{speedup:.1f}x at 849 rules (>=10x)")
+
+
+# --- C8: one sentence's scope resolution grows linearly with its length ---
+
+def _joined_sentences(rng: random.Random, ruleset: RuleSet, length: int) -> list[str]:
+    """Generated sentences joined into one of at least ``length`` tokens.
+
+    Each sentence holds 30-60 filler words with 4-10 rule phrases of every
+    cue type spliced in, so that triggers, pseudos and terminations crowd
+    the joined sentence.
+    """
+    tokens: list[str] = []
+    while len(tokens) < length:
+        sentence = [rng.choice(FILLER_VOCAB) for _ in range(rng.randint(30, 60))]
+        for _ in range(rng.randint(4, 10)):
+            phrase = [rng.choice(FILLER_VOCAB) if word == WILDCARD else word
+                      for word in rng.choice(ruleset.rules).phrase]
+            at = rng.randint(0, len(sentence))
+            sentence[at:at] = phrase
+        tokens += sentence
+    return tokens
+
+
+def _best_resolve_s(matches, ruleset: RuleSet, n: int, concept) -> float:
+    """Best of 3 timed ``resolve_scopes`` calls, each on an empty memo."""
+    times = []
+    for _ in range(3):
+        fresh = RuleSet(ruleset.rules)
+        gc.collect()
+        start = time.perf_counter()
+        resolve_scopes(matches, fresh, n, concept)
+        times.append(time.perf_counter() - start)
+    return min(times)
+
+
+def test_c8_resolve_scales_linearly():
+    ruleset = generate_rules(7, 849)
+    trie = build_trie(ruleset)
+    rng = random.Random(0xC8)
+    ratios = {}
+    for kind in ("full", "directed"):
+        times = []
+        for length in (4_000, 40_000):
+            tokens = _joined_sentences(rng, ruleset, length)
+            n = len(tokens)
+            concept = ConceptSpan(n // 2, n // 2 + 1) if kind == "directed" else None
+            times.append(_best_resolve_s(find_matches_trie(trie, tokens), ruleset, n, concept))
+        ratios[kind] = times[1] / times[0]
+    # linear gives about 10; testing every stop and pseudo per cue, about 100
+    _criterion(
+        "C8 resolve-shape", all(ratio < 20 for ratio in ratios.values()),
+        ", ".join(f"{kind} 40k/4k tokens = {ratio:.1f} (<20)" for kind, ratio in ratios.items()),
+    )
 
 
 # --- C4: rule semantics suite --------------------------------------------

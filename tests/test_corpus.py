@@ -69,6 +69,7 @@ def test_write_corpus_is_compact_json_per_record():
         ('{"tokens": ["a"], "concept": [0, 1], "gold": {"negation": "nope"}}', "gold value"),
         ('{"tokens": ["a"], "concept": [0, 1], "gold": {"mood": "sad"}}', "dimension"),
         ('{"tokens": ["a"], "concept": [0, 1], "gold": {"negation": ["x"]}}', "gold value"),
+        ('{"tokens": ["a"], "concept": [0, 1], "gold": ["negation"]}', "'gold' must be an object"),
         ('{"tokens": ["\\ud800"], "concept": [0, 1]}', "lone surrogate"),
         pytest.param('{"tokens": ["a"], "concept": [0, 1%s]}' % ("0" * 5000), "invalid JSON",
                      id="int-past-digit-limit"),

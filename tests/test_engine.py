@@ -110,6 +110,39 @@ def test_scope_never_covers_its_own_cue_or_exits_sentence():
     assert {(s.start, s.end) for s in scopes} == {(0, 1), (2, 3)}
 
 
+def test_pseudo_suppression_does_not_depend_on_sentence_len():
+    # the pseudo [2, 5) covers the trigger [3, 4) whatever length it is
+    # resolved with, a length below the pseudo's end included
+    rs = RuleSet.from_rules([
+        rule("c d e", Direction.FORWARD, CueType.PSEUDO, RuleValue.NEGATED, 30, 0),
+        rule("d", Direction.BACKWARD, CueType.TRIGGER, RuleValue.NEGATED, 30, 1),
+    ])
+    matches = find_matches_naive(rs, ["a", "b", "c", "d", "e"])
+    assert [(m.start, m.end) for m in matches] == [(2, 5), (3, 4)]
+    for n in (3, 4, 5, 8):
+        assert resolve_scopes(matches, rs, n) == []
+        assert resolve_scopes(matches, RuleSet(rs.rules), n, ConceptSpan(0, 1)) == []
+        scopes = resolve_scopes(matches[1:], rs, n)
+        assert [(s.start, s.end) for s in scopes] == [(0, 3)]
+
+
+def test_a_length_past_the_tokens_bounds_scopes_but_not_suppression():
+    # the pseudo suppresses the termination of its span, so the forward scope
+    # runs to the length it is resolved with
+    rs = RuleSet.from_rules([
+        rule("a", Direction.FORWARD, CueType.TRIGGER, RuleValue.NEGATED, 5, 0),
+        rule("c", Direction.FORWARD, CueType.TERMINATION, RuleValue.NEGATED, 30, 1),
+        rule("c", Direction.FORWARD, CueType.PSEUDO, RuleValue.NEGATED, 30, 2),
+    ])
+    matches = find_matches_naive(rs, ["a", "b", "c"])
+    for n, end in ((3, 3), (5, 5), (6, 6), (9, 6)):
+        scopes = resolve_scopes(matches, rs, n)
+        assert [(s.start, s.end) for s in scopes] == [(1, end)]
+        memo = RuleSet(rs.rules)  # miss, fill, hit
+        for _ in range(3):
+            assert resolve_scopes(matches, memo, n, ConceptSpan(end - 1, end)) == scopes
+
+
 # --- annotate ---
 
 def test_annotate_paper_negation_example():
@@ -212,6 +245,17 @@ def test_evidence_present_iff_non_default():
     assert set(hit.evidence) == {Dimension.NEGATION}
     miss = annotate(["mi", "no"], ConceptSpan(0, 1), rs)
     assert miss.evidence == {}
+
+
+def test_evidence_lists_its_dimensions_in_cue_order():
+    rs = RuleSet.from_rules([
+        rule("history", Direction.FORWARD, CueType.TRIGGER, RuleValue.HISTORICAL, 30, 0),
+        rule("no", Direction.FORWARD, CueType.TRIGGER, RuleValue.NEGATED, 30, 1),
+    ])
+    tokens = ["history", "no", "mi"]
+    for result in (annotate(tokens, ConceptSpan(2, 3), rs),
+                   next(annotate_records([(tokens, ConceptSpan(2, 3))], rs))):
+        assert list(result.evidence) == [Dimension.TEMPORALITY, Dimension.NEGATION]
 
 
 def test_evidence_is_read_only():
@@ -541,6 +585,60 @@ def test_directed_resolution_keeps_the_scopes_of_the_triggers_that_reach_the_con
         assert [s for s in directed if _reaches(s, concept)] == [s for s in full if _reaches(s, concept)]
         assert directed == [s for s in full if _trigger_reaches(s, concept, ruleset, n)]
     assert resolve_scopes(matches, ruleset, n, tuple(concept)) == directed
+
+
+# phrases of up to three words, so that a termination that starts earlier
+# can end later than one inside it, and the backward stops arrive unsorted
+_crowded_rule = st.builds(
+    ContextRule,
+    id=st.just(0),
+    phrase=st.lists(st.sampled_from(_vocab), min_size=1, max_size=3).map(tuple),
+    direction=st.sampled_from(Direction),
+    cue_type=st.sampled_from([CueType.TRIGGER, CueType.TRIGGER, CueType.PSEUDO, CueType.TERMINATION,
+                              CueType.TERMINATION]),
+    value=st.sampled_from(RuleValue),
+    window=st.integers(min_value=0, max_value=8),
+)
+
+
+def _term(phrase, direction=Direction.FORWARD):
+    return rule(phrase, direction, CueType.TERMINATION, RuleValue.NEGATED, 30)
+
+
+def _pseudo(phrase, value=RuleValue.NEGATED):
+    return rule(phrase, Direction.FORWARD, CueType.PSEUDO, value, 30)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rule_sets(rules=_crowded_rule, max_size=16), sentence_and_concepts(max_len=60))
+# a forward stop at the scope's first token does not cut [1, 5); one a token inside cuts it to [1, 2)
+@example(_rules(trigger("a", window=4), _term("b")), (_ABCDE, [ConceptSpan(3, 4)]))
+@example(_rules(trigger("a", window=4), _term("c")), (_ABCDE, [ConceptSpan(3, 4)]))
+# a backward stop at the scope's end does not cut [0, 4); one a token inside cuts it to [3, 4)
+@example(_rules(trigger("e", Direction.BACKWARD, window=4), _term("d", Direction.BACKWARD)),
+         (_ABCDE, [ConceptSpan(1, 2)]))
+@example(_rules(trigger("e", Direction.BACKWARD, window=4), _term("c", Direction.BACKWARD)),
+         (_ABCDE, [ConceptSpan(1, 2)]))
+# backward stops arriving as ends 3 then 2: the nearest before the end is 3
+@example(_rules(trigger("e", Direction.BACKWARD, window=4), _term("a b c", Direction.BACKWARD),
+                _term("b", Direction.BACKWARD)),
+         (_ABCDE, [ConceptSpan(2, 3)]))
+# a pseudo ending where a trigger starts, and one starting where it ends: neither overlaps
+@example(_rules(_pseudo("b"), trigger("c")), (_ABCDE, [ConceptSpan(3, 4)]))
+@example(_rules(trigger("b"), _pseudo("c")), (_ABCDE, [ConceptSpan(3, 4)]))
+# pseudos of two other dimensions on a trigger, and of its own and another one
+@example(_rules(trigger("b"), _pseudo("b", RuleValue.NONPATIENT), _pseudo("b", RuleValue.HISTORICAL)),
+         (_ABCDE, [ConceptSpan(3, 4)]))
+@example(_rules(trigger("b"), _pseudo("b", RuleValue.NONPATIENT), _pseudo("b", RuleValue.POSSIBLE)),
+         (_ABCDE, [ConceptSpan(3, 4)]))
+def test_crowded_long_sentences_agree_with_reference_oracle(ruleset, sc):
+    tokens, concepts = sc
+    expected = [reference_annotate(ruleset, tokens, c.start, c.end) for c in concepts]
+    for trie in (build_trie(ruleset), None):
+        # one call a concept: the rule set's memo misses, fills, then hits
+        assert [reference_form(annotate(tokens, c, ruleset, trie)) for c in concepts] == expected
+        results = annotate_records(((tokens, c) for c in concepts), ruleset, trie)
+        assert list(map(reference_form, results)) == expected
 
 
 def test_a_run_is_resolved_for_every_concept_not_only_its_first():
