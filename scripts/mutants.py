@@ -4,7 +4,9 @@ Each fault is one exact-text patch ``(name, old, new)`` to a file under
 ``src/``: ``old`` must occur exactly once in ``src/``.  For each fault the
 script copies the tree to a temporary directory, applies the patch there
 and runs ``pytest -x -q`` without the three timing criteria (C2, C3,
-C8).  That run must fail.  A fault the run passes on survives: the script
+C8), the patched module's own test file first, so that the tests most
+likely to fail run before the slow acceptance criteria.  That run must
+fail.  A fault the run passes on survives: the script
 lists the survivors and exits 1.  This is mutation testing (DeMillo,
 Lipton & Sayward, "Hints on test data selection: help for the practicing
 programmer", IEEE Computer 11(4), 1978).
@@ -76,8 +78,33 @@ MUTANTS: list[tuple[str, str, str]] = [
      'if obj and end == len(rest) and "tokens" not in obj:',
      'if obj is not None and end == len(rest) and "tokens" not in obj:'),
     ("a run's records sharing one list object",
-     "_record_from_obj(obj, line_no, line, run[1][:])",
-     "_record_from_obj(obj, line_no, line, run[1])"),
+     "tokens, cut = run[1][:], len(run[0]) - 2",
+     "tokens, cut = run[1], len(run[0]) - 2"),
+    # a canonical line handed out as its record's head
+    ("a line with a backslash echoed",
+     "return record, (line[:-1] if line[cut:] == tail else None)",
+     'return record, (line[:-1] if "\\\\" in line or line[cut:] == tail else None)'),
+    ("no length test: a line that ends as its record's encoding echoed",
+     "line[cut:] == tail",
+     "line.endswith(tail)"),
+    ("the concept compared as decoded ints, not as its text, which lets -0 through",
+     "line[cut:] == tail",
+     "line.startswith(tail[:13], cut) and json.loads(line[cut + 12:-1]) == concept"),
+    ("gold lines echoed",
+     "return record, (line[:-1] if line[cut:] == tail else None)",
+     "return record, (line[:-1] if gold is not None or line[cut:] == tail else None)"),
+    ("the tail test of a run's later line dropped",
+     "return record, (line[:-1] if line[cut:] == tail else None)",
+     "return record, (line[:-1] if run is not None or line[cut:] == tail else None)"),
+    ("a full line's tokens taken to end one character late",
+     "cut = 10 + len(joined) + 3 * len(tokens) if tokens else 11",
+     "cut = 11 + len(joined) + 3 * len(tokens) if tokens else 11"),
+    ("an empty token array taken to end as a non-empty one",
+     "cut = 10 + len(joined) + 3 * len(tokens) if tokens else 11",
+     "cut = 10 + len(joined) + 3 * len(tokens)"),
+    ("the join replaced by a list-type check alone",
+     'joined = "".join(tokens)  # a TypeError when a token is not a string',
+     'joined = "".join(map(str, tokens))'),
     # the writer: a run's tokens encoded once
     ("the writer comparing tokens with is",
      "if tokens != last:\n            last, tokens_json = tokens[:],",
@@ -278,8 +305,8 @@ MUTANTS: list[tuple[str, str, str]] = [
      'raise CorpusError(f"{where}{prediction}")',
      "prediction = ContextAnnotation()"),
     ("the whole gold file read before scoring",
-     "score(_annotated(source, ruleset))",
-     "score(list(_annotated(source, ruleset)))"),
+     "for result, record, _ in _annotated(source, ruleset))",
+     "for result, record, _ in list(_annotated(source, ruleset)))"),
     ("the CLI annotates through the naive matcher",
      "for result in annotate_records(pairs, ruleset, build_trie(ruleset)):",
      "for result in annotate_records(pairs, ruleset, None):"),
@@ -380,13 +407,29 @@ def occurrences(old: str, root: Path = ROOT) -> dict[Path, int]:
     return found
 
 
-def plant(root: Path, old: str, new: str) -> None:
-    """Replace the one occurrence of ``old`` under ``root/src`` by ``new``."""
+def plant(root: Path, old: str, new: str) -> Path:
+    """Replace the one occurrence of ``old`` under ``root/src`` by ``new``,
+    and return the file it was in."""
     found = occurrences(old, root)
     if list(found.values()) != [1]:
         raise SystemExit(f"{old!r} occurs {sum(found.values())} times in src/, not once")
     (path,) = found
     path.write_text(path.read_text(encoding="utf-8").replace(old, new), encoding="utf-8")
+    return path
+
+
+def run_order(patched: Path, root: Path = ROOT) -> list[str]:
+    """The test paths pytest runs for a fault in ``patched``, a module under
+    ``root/src``: the module's own test file first (``x.py``:
+    ``tests/test_x.py``), then the other test files and ``perfbench``, in
+    the order pytest collects its ``testpaths``.  No paths for a module
+    with no test file of its own, which runs the whole suite in that order.  (Pytest
+    merges a file into a directory named beside it, so each file is named.)"""
+    own = root / "tests" / f"test_{patched.stem}.py"
+    if not own.is_file():
+        return []
+    rest = sorted(path for path in (root / "tests").glob("test_*.py") if path != own)
+    return [path.relative_to(root).as_posix() for path in (own, *rest)] + ["perfbench"]
 
 
 def fails(old: str | None = None, new: str = "") -> bool:
@@ -397,10 +440,9 @@ def fails(old: str | None = None, new: str = "") -> bool:
         shutil.copytree(ROOT, tree, ignore=shutil.ignore_patterns(
             ".git", "__pycache__", ".pytest_cache", ".hypothesis", ".perfbench", ".benchmarks",
             "*.egg-info"))
-        if old is not None:
-            plant(tree, old, new)
+        paths = [] if old is None else run_order(plant(tree, old, new), tree)
         env = dict(os.environ, PYTHONPATH=str(tree / "src"))
-        run = subprocess.run([sys.executable, *PYTEST], cwd=tree, env=env,
+        run = subprocess.run([sys.executable, *PYTEST, *paths], cwd=tree, env=env,
                              stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
         return run.returncode != 0
 

@@ -128,15 +128,16 @@ def _writes_to_input(source: IO[str], output: str) -> bool:
 
 def _annotated(
     source: IO[str], ruleset: RuleSet
-) -> Iterator[tuple[ContextAnnotation | InvalidSpan, corpus_mod.CorpusRecord]]:
-    """Each result with its record of ``source``, one record at a time,
-    matched through one trie built for the run; a malformed line raises
-    once the records before it are yielded."""
+) -> Iterator[tuple[ContextAnnotation | InvalidSpan, corpus_mod.CorpusRecord, str | None]]:
+    """Each result with its record of ``source`` and the record's head when
+    the reader proved its line canonical (``corpus._iter_lines``), one
+    record at a time, matched through one trie built for the run; a
+    malformed line raises once the records before it are yielded."""
     # annotate_records yields each result before it reads the next pair,
-    # so ``record`` is the record that ``result`` belongs to
-    pairs = (((record := r).tokens, r.concept) for r in corpus_mod.iter_corpus(source))
+    # so ``read`` holds the record that ``result`` belongs to
+    pairs = (((read := item)[0].tokens, item[0].concept) for item in corpus_mod._iter_lines(source))
     for result in annotate_records(pairs, ruleset, build_trie(ruleset)):
-        yield result, record
+        yield result, *read
 
 
 def cmd_annotate(args: argparse.Namespace) -> int:
@@ -151,12 +152,13 @@ def cmd_annotate(args: argparse.Namespace) -> int:
             )
         with _open_out(args.output) as out:
             write, annotated_line = out.write, corpus_mod.annotated_line
-            head = corpus_mod._run_heads()
-            for result, record in _annotated(source, ruleset):
+            encode = corpus_mod._run_heads()
+            for result, record, head in _annotated(source, ruleset):
                 if type(result) is InvalidSpan:
                     errors += 1
                     print(f"line {record.line_no}: {result}", file=sys.stderr)
-                write(annotated_line(record, result, head(record)))
+                # a line proven canonical is written back as read
+                write(annotated_line(record, result, head or encode(record)))
     if errors and args.strict:
         print(f"{errors} record(s) failed under --strict", file=sys.stderr)
         return EXIT_ASSERTION
@@ -168,7 +170,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
     ruleset = _load_rules(args.rules)
     with _open_in(args.gold) as source:
-        report = score(_annotated(source, ruleset))
+        report = score((result, record) for result, record, _ in _annotated(source, ruleset))
     sys.stdout.write(report.render_csv() if args.format == "csv" else report.render_text())
     return EXIT_OK
 

@@ -26,6 +26,23 @@ of the run's tokens; any other line is decoded whole.  A writer compares
 each record's tokens by contents with its own copy of the last ones,
 whose encoding it keeps.
 
+The reader also hands out, next to each record, the record's head
+(:func:`_record_head`) when its line, stripped, is that head and a
+closing brace, so that ``annotate`` writes the line back as read.  A
+record without gold has the head ``{"tokens":[``, each token in quotes
+joined by ``,``, then ``],"concept":[s,e]``; with no backslash the
+tokens take ``len(joined) + 3k - 1`` characters for k tokens (none for
+none).  The proof is one comparison: the line's text from where those
+tokens end is exactly ``],"concept":[s,e]}``, with ``s`` and ``e``
+rendered from the decoded ints; on a run's later line the tokens end
+at the run's proven ``],``.  That is enough: the line is JSON of an
+object holding these tokens and this concept, no such text is shorter
+than the gold-free head and brace, and only that text and the one with
+``concept`` first are as short, since an escape, a space, ``-0``, a
+gold or other member and a repeated key each add characters; the
+tail puts ``concept`` last.  The head is never kept on the record, which
+its holder may change.
+
 The generators are deterministic for a given seed, and gold labels are
 computed by the naive engine so generated corpora never depend on the
 trie they are used to test.
@@ -36,7 +53,6 @@ from __future__ import annotations
 import json
 import os
 import random
-from itertools import repeat
 from json.encoder import encode_basestring
 from typing import IO, Callable, Iterable, Iterator, NamedTuple
 
@@ -120,23 +136,35 @@ class CorpusRecord:
 
 
 def _record_from_obj(
-    obj: object, line_no: int, line: str, tokens: list[str] | None = None
-) -> CorpusRecord:
-    """The record of ``obj``, decoded from ``line``; ``tokens``, when given,
-    are its already checked tokens, and ``obj`` is a dict that holds none."""
-    if tokens is None:
+    obj: object, line_no: int, line: str, run: tuple[str, list[str]] | None = None
+) -> tuple[CorpusRecord, str | None]:
+    """The record of ``obj``, decoded from ``line``, and ``line`` up to its
+    closing brace when that is the record's head (:func:`_record_head`), or
+    None; ``run``, when given, is the run head (:func:`_run_head`) that
+    ``line`` starts with, and ``obj`` the rest of ``line``, a dict without
+    tokens.  See the module docstring for the proof of a head."""
+    if run is None:
         if type(obj) is not dict:
             raise CorpusError(f"line {line_no}: expected a JSON object")
         tokens = obj.get("tokens")
-        if type(tokens) is not list or not all(map(isinstance, tokens, repeat(str))):
-            raise CorpusError(f"line {line_no}: 'tokens' must be a list of strings")
+        try:
+            if type(tokens) is not list:
+                raise TypeError
+            joined = "".join(tokens)  # a TypeError when a token is not a string
+        except TypeError:
+            raise CorpusError(f"line {line_no}: 'tokens' must be a list of strings") from None
         if "\\u" in line:
             # only a \u escape can put a lone surrogate into a token, which
             # no UTF-8 output could then hold
             try:
-                "".join(tokens).encode("utf-8")
+                joined.encode("utf-8")
             except UnicodeEncodeError:
                 raise CorpusError(f"line {line_no}: 'tokens' hold a lone surrogate") from None
+        # where the tokens end in the record's head: after `{"tokens":[`,
+        # each token in quotes, the quotes joined by `,`
+        cut = 10 + len(joined) + 3 * len(tokens) if tokens else 11
+    else:
+        tokens, cut = run[1][:], len(run[0]) - 2
     concept = obj.get("concept")
     # JSON gives exact ints and bools, so ``type(x) is int`` excludes bools
     if type(concept) is not list or len(concept) != 2 or not (
@@ -153,8 +181,10 @@ def _record_from_obj(
                 raise CorpusError(f"line {line_no}: unknown gold dimension {dim!r}")
             if type(value) is not str or value not in allowed:
                 raise CorpusError(f"line {line_no}: bad gold value {value!r} for {dim}")
+    tail = f'],"concept":[{concept[0]},{concept[1]}]}}'
     # ``tuple.__new__`` skips the Python-level ``__new__`` of a NamedTuple
-    return CorpusRecord(tokens, tuple.__new__(ConceptSpan, concept), gold, line_no)
+    record = CorpusRecord(tokens, tuple.__new__(ConceptSpan, concept), gold, line_no)
+    return record, (line[:-1] if line[cut:] == tail else None)
 
 
 def iter_corpus(source: str | os.PathLike | Iterable[str]) -> Iterator[CorpusRecord]:
@@ -171,9 +201,11 @@ def iter_corpus(source: str | os.PathLike | Iterable[str]) -> Iterator[CorpusRec
     """
     if isinstance(source, (str, os.PathLike)):
         with open_corpus(source) as fh:
-            yield from _iter_lines(fh)
+            for record, _ in _iter_lines(fh):
+                yield record
     else:
-        yield from _iter_lines(source)
+        for record, _ in _iter_lines(source):
+            yield record
 
 
 def open_corpus(path: str | os.PathLike | int) -> IO[str]:
@@ -201,7 +233,10 @@ def _run_head(line: str) -> tuple[str, list[str]] | None:
     return line[:cut + 2], tokens
 
 
-def _iter_lines(lines: Iterable[str]) -> Iterator[CorpusRecord]:
+def _iter_lines(lines: Iterable[str]) -> Iterator[tuple[CorpusRecord, str | None]]:
+    """Each record of :func:`iter_corpus`, with its line up to the closing
+    brace when that is the record's head, else None (see the module
+    docstring)."""
     # the C scanner behind ``json.loads``, called directly; the handlers
     # below give the messages ``json.loads`` gives for the same line
     scan = json.JSONDecoder().scan_once
@@ -232,7 +267,7 @@ def _iter_lines(lines: Iterable[str]) -> Iterator[CorpusRecord]:
                 # ``{`` + rest decodes as the line does when rest holds a key
                 # (``{"tokens":[...],}`` is not JSON) and the key is not tokens
                 if obj and end == len(rest) and "tokens" not in obj:
-                    yield _record_from_obj(obj, line_no, line, run[1][:])
+                    yield _record_from_obj(obj, line_no, line, run)
                     continue
         try:
             obj, end = scan(line, 0)
@@ -247,10 +282,10 @@ def _iter_lines(lines: Iterable[str]) -> Iterator[CorpusRecord]:
             raise CorpusError(f"line {line_no}: invalid JSON ({err})") from None
         if end != len(line):  # the line is stripped, so anything left is data
             raise CorpusError(f"line {line_no}: invalid JSON (Extra data)")
-        record = _record_from_obj(obj, line_no, line)
+        record, head = _record_from_obj(obj, line_no, line)
         tokens = record.tokens
         prev, first, run = line, tokens[0] if tokens else "", None
-        yield record
+        yield record, head
 
 
 def _run_heads() -> Callable[[CorpusRecord], str]:
@@ -315,7 +350,8 @@ def annotated_line(
 ) -> str:
     r"""``record`` as :func:`write_corpus` writes it, with its ``pred`` (or
     ``error``) added as the last key.  ``head``, when given, is
-    ``_record_head(record)``, for example from a writer's :func:`_run_heads`.
+    ``_record_head(record)``, for example from a writer's :func:`_run_heads`,
+    or the record's input line that the reader proved to be it.
 
     >>> from cuescope import annotate, load_rules
     >>> import io

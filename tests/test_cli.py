@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from cuescope import corpus as corpus_mod
 from cuescope.cli import main
 from cuescope.corpus import CorpusRecord, iter_corpus, write_corpus
 from cuescope.engine import ConceptSpan, InvalidSpan, annotate
@@ -253,6 +254,59 @@ def test_annotate_repeated_sentences_as_per_record_annotate(tmp_path, starter_ru
         assert errors and len(dimensions) == 3
         assert output.read_text(encoding="utf-8") == "".join(expected)
         assert stderr == errors
+
+
+#: Canonical lines, which the reader hands out as their own heads, run
+#: continuations, and every form of line that the writer encodes again.
+MIXED_LINES = [
+    '\ufeff{"tokens":["no","fever"],"concept":[1,2]}',
+    '{"tokens":["no","fever"],"concept":[0,2]}',
+    '{"tokens":["no","fever"],"concept":[1, 2]}',
+    '{"tokens":["no","fever"],"concept":[1,5]}',  # out of range, on a run's echoed head
+    '{"tokens":["no","fever"],"concept":[-0,2]}',
+    '{"tokens":["no","fever"],"concept":[1,2],"gold":{"negation":"negated"}}',
+    '{"tokens":["no", "fever"],"concept":[1,2]}',
+    '{"tokens":["denies","c\\/d","\\u00e9","a\\"b"],"concept":[3,4]}',
+    '{"concept":[1,2],"tokens":["no","fever"]}',
+    '{"tokens":["no","fever"],"concept":[1,2],"x":1}',
+    '{"tokens":[],"tokens":["no","fever"],"concept":[1,2]}',
+    '{"tokens":["no","fever"],"concept":[1,2],"concept":[0,1]}',
+    '{"tokens":["denies","pain"],"concept":[1,2],"gold":{"negation": "negated"}}',
+    '{"tokens":["pain"],"concept":[0,3]}',  # out of range, on an echoed line
+    '{"tokens":[],"concept":[0,0]}',
+    '{"tokens":["no",   "],"],"concept":[0,1]}',
+    '{"tokens":["no","],"],"concept":[0,1]}',
+    '{"tokens":["no","fièvre","\u2028"],"concept":[1,2]}',
+]
+
+
+def test_annotate_writes_each_record_as_its_encoding_whether_echoed_or_not(
+        tmp_path, starter_rules_path, starter_rules, capsys):
+    corpus, output = tmp_path / "mixed.jsonl", tmp_path / "out.jsonl"
+    corpus.write_text("\n".join(MIXED_LINES) + "\n", encoding="utf-8")
+    heads = [head for _, head in corpus_mod._iter_lines(MIXED_LINES)]
+    assert 0 < heads.count(None) < len(heads)  # both paths are taken
+    assert run_cli("annotate", "--rules", str(starter_rules_path),
+                   "--input", str(corpus), "--output", str(output)) == 0
+    expected, errors = [], []
+    for record in iter_corpus(corpus):
+        try:
+            result = annotate(record.tokens, record.concept, starter_rules)
+        except InvalidSpan as err:
+            result = err
+            errors.append(f"line {record.line_no}: {err}")
+        expected.append(corpus_mod.annotated_line(record, result, corpus_mod._record_head(record)))
+    assert len(errors) == 3
+    assert output.read_text(encoding="utf-8") == "".join(expected)
+    assert capsys.readouterr().err.splitlines() == errors
+
+
+def test_a_record_edited_after_reading_is_written_as_edited(starter_rules):
+    # the reader keeps no head on a record, so annotated_line encodes it
+    (record,) = iter_corpus(['{"tokens":["no","fever"],"concept":[1,2]}'])
+    record.tokens[1:] = ["fièvre", "today"]
+    line = corpus_mod.annotated_line(record, annotate(record.tokens, record.concept, starter_rules))
+    assert line.startswith('{"tokens":["no","fièvre","today"],"concept":[1,2],"pred":{"negation":"negated"')
 
 
 def test_annotate_is_case_insensitive_and_echoes_tokens(tmp_path, starter_rules_path, capsys):

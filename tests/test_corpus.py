@@ -64,6 +64,9 @@ def test_write_corpus_is_compact_json_per_record():
         ("not json", "invalid JSON"),
         ('["list"]', "JSON object"),
         ('{"tokens": "x", "concept": [0, 1]}', "tokens"),
+        ('{"tokens": ["a", 1], "concept": [0, 1]}', "'tokens' must be a list of strings"),
+        ('{"tokens":[null],"concept":[0,1]}', "'tokens' must be a list of strings"),
+        ('{"tokens":[["a"]],"concept":[0,1]}', "'tokens' must be a list of strings"),
         ('{"tokens": ["a"], "concept": [0]}', "concept"),
         ('{"tokens": ["a"], "concept": [0, true]}', "concept"),
         ('{"tokens": ["a"], "concept": [0, 1], "gold": {"negation": "nope"}}', "gold value"),
@@ -96,10 +99,19 @@ def test_read_corpus_rejects_non_utf8_with_its_line(tmp_path):
         list(iter_corpus(fh))
 
 
+def expected_head(text: str, record: CorpusRecord) -> str | None:
+    """The head the reader must hand out with ``record``, read from the
+    stripped line ``text``: ``text`` up to its closing brace when ``text``
+    holds no backslash and no gold and is the record's own encoding, else
+    None."""
+    head = corpus._record_head(record)
+    return head if record.gold is None and "\\" not in text and text == head + "}" else None
+
+
 def expected_from_json_loads(line: str):
     """What reading the one-line corpus ``line`` must give: the record
-    built from ``json.loads``' value (or the error building it raises), or
-    ``json.loads``' own message."""
+    built from ``json.loads``' value, with its expected head (or the error
+    building it raises), or ``json.loads``' own message."""
     text = line.strip()
     if not text:
         return []  # a blank line holds no record
@@ -110,14 +122,15 @@ def expected_from_json_loads(line: str):
     except (ValueError, RecursionError) as err:
         return f"line 1: invalid JSON ({err})"
     try:
-        return [corpus._record_from_obj(obj, 1, text)]
+        record, _ = corpus._record_from_obj(obj, 1, text)
     except CorpusError as err:
         return str(err)
+    return [(record, expected_head(text, record))]
 
 
 def read_one_line(line):
     try:
-        return list(iter_corpus([line]))
+        return list(corpus._iter_lines([line]))
     except CorpusError as err:
         return str(err)
 
@@ -139,9 +152,10 @@ WHITESPACE = st.text(st.sampled_from(" \t\x0c\x0b\xa0\u2028\u3000\ufeff"), max_s
 
 @st.composite
 def corpus_lines(draw):
-    """JSON text, cut or spliced at a random point, with whitespace and
-    byte-order marks around it."""
-    text = json.dumps(draw(st.one_of(RECORDS, JSON_VALUES)), ensure_ascii=draw(st.booleans()))
+    """JSON text, compact or spaced, cut or spliced at a random point, with
+    whitespace and byte-order marks around it."""
+    text = json.dumps(draw(st.one_of(RECORDS, JSON_VALUES)), ensure_ascii=draw(st.booleans()),
+                      separators=draw(st.sampled_from([(",", ":"), (", ", ": ")])))
     cut = draw(st.integers(0, len(text)))
     edit = draw(st.sampled_from(["keep", "cut", "insert", "append"]))
     if edit == "cut":
@@ -169,6 +183,24 @@ def corpus_lines(draw):
 @example('\x0c\xa0{"tokens": ["a"], "concept": [0, 1]}\xa0\x0c')
 @example(' \ufeff{"tokens": ["a"], "concept": [0, 1]}')
 @example('{"tokens": ["a"], "concept": [0, 1]}\ufeff')
+# the head proof: only a record's own encoding, without gold, is its head
+@example('{"tokens":["a"],"concept":[0,1]}')
+@example('{"tokens":["a", "b"],"concept":[0,1]}')
+@example('{"tokens":["a","b"],"concept":[0, 1]}')
+@example('{"tokens":["a\\"b"],"concept":[0,1]}')
+@example('{"tokens":["c\\/d"],"concept":[0,1]}')
+@example('{"tokens":["\\u00e9"],"concept":[0,1]}')
+@example('{"concept":[0,1],"tokens":["a"]}')
+@example('{"tokens":["a"],"concept":[0,1],"x":1}')
+@example('{"tokens":["a"],"x":1,"concept":[0,1]}')
+@example('{"tokens":[],"tokens":["no","fever"],"concept":[1,2]}')
+@example('{"tokens":["a"],"concept":[0,1],"concept":[0,1]}')
+@example('{"tokens":["a"],"concept":[-0,1]}')
+@example('{"tokens":["a"],"concept":[0,1],"gold":{"negation":"negated"}}')
+@example('{"tokens":["a"],"concept":[0,1],"gold":{"negation": "negated"}}')
+@example('{"tokens":["a"],"concept":[0,1],"gold":null}')
+@example('{"tokens":[],"concept":[0,0]}')
+@example('{"tokens":["a",   "],"],"concept":[0,1]}')  # right length up to the first `],`
 @given(corpus_lines())
 def test_reading_a_line_matches_json_loads(line):
     assert read_one_line(line) == expected_from_json_loads(line)
@@ -177,25 +209,29 @@ def test_reading_a_line_matches_json_loads(line):
 def read_alone(lines):
     """What reading ``lines`` must give: each line read on its own, behind
     blank lines so that it keeps its number, up to the first error; as
-    ``(tokens, concept, gold, line_no)`` rows, then that error's message."""
+    ``(tokens, concept, gold, line_no, head)`` rows, each with its expected
+    head, then that error's message."""
     out = []
     for i, line in enumerate(lines):
+        if i == 0 and line.startswith("\ufeff"):
+            line = line[1:]  # a byte-order mark opens the file
         try:
-            out.extend(as_rows(iter_corpus([""] * i + [line])))
+            out.extend((*row[:-1], expected_head(line.strip(), CorpusRecord(*row[:3])))
+                       for row in as_rows(corpus._iter_lines([""] * i + [line])))
         except CorpusError as err:
             return out + [str(err)]
     return out
 
 
-def as_rows(records):
-    return [(r.tokens, r.concept, r.gold, r.line_no) for r in records]
+def as_rows(items):
+    return [(r.tokens, r.concept, r.gold, r.line_no, head) for r, head in items]
 
 
 def read_together(lines):
     rows = []
     try:
-        for record in iter_corpus(lines):
-            rows.extend(as_rows([record]))
+        for item in corpus._iter_lines(lines):
+            rows.extend(as_rows([item]))
     except CorpusError as err:
         rows.append(str(err))
     return rows
@@ -269,9 +305,27 @@ def corpora_of_runs(draw):
 @example(['{"tokens":["a"],"concept":[0,1]}', '{"tokens":["a"],"concept":[0,1]} x'])
 @example(['{"tokens":["a"],"concept":[0,1]}', '{"tokens":["a"],}'])
 @example(['{"tokens":[],"concept":[0,1]}', '{"tokens":[],"concept":[0,0]}', '{"tokens":[],"concept":'])
+# the head proof on a run's later lines: only the run's own encoding is echoed
+@example(['{"tokens":["a","b"],"concept":[0,1]}', '{"tokens":["a","b"],"concept":[1,2]}',
+          '{"tokens":["a","b"],"concept":[1, 2]}', '{"tokens":["a","b"],"concept":[-0,1]}',
+          '{"tokens":["a","b"],"concept":[0,1],"gold":{"negation":"negated"}}',
+          '{"tokens":["a","b"],"concept":[0,1],"x":1}', '{"tokens":["a","b"],"x":1,"concept":[0,1]}',
+          '{"tokens":["a","b"],"concept":[0,1],"concept":[0,2]}', '{"tokens":["a","b"],"concept":[1,2]}'])
+@example(['\ufeff{"tokens":["a"],"concept":[0,1]}', '{"tokens":["a"],"concept":[0,0]}'])
+@example(['{"tokens":["a","c\\/d"],"concept":[0,1]}', '{"tokens":["a","c\\/d"],"concept":[0,1]}'])
+@example(['{"tokens":["a",   "],"],"concept":[0,1]}', '{"tokens":["a",   "],"],"concept":[0,1]}'])
+@example(['{"tokens":[],"concept":[0,0]}', '{"tokens":[],"concept":[0,1]}'])
 @given(corpora_of_runs())
 def test_reading_a_corpus_matches_reading_each_line_alone(lines):
     assert read_together(lines) == read_alone(lines)
+
+
+def test_a_canonical_line_is_its_records_head():
+    lines = ['{"tokens":["no","fever"],"concept":[1,2]}', '{"tokens":["no","fever"],"concept":[0,2]}',
+             '{"tokens":[],"concept":[0,0]}', '\u00e9\u2028'.join(['{"tokens":["', '"],"concept":[0,1]}'])]
+    items = list(corpus._iter_lines(["\ufeff" + lines[0]] + lines[1:]))
+    assert [head for _, head in items] == [line[:-1] for line in lines]
+    assert [head for _, head in items] == [corpus._record_head(record) for record, _ in items]
 
 
 @st.composite
