@@ -8,7 +8,8 @@ rule file too), 3 data errors, 141 the reader of the output went away.
 ``annotate`` and ``evaluate`` read their corpus through one record loop,
 which pairs each record with its result as it streams and always matches
 through the trie; ``annotate`` writes each pair as
-``corpus.annotated_line`` forms it, and ``evaluate`` scores each pair
+``corpus.annotated_line`` forms it, on the record's input line when the
+reader proved that line canonical, and ``evaluate`` scores each pair
 through ``evaluate.score``.
 """
 

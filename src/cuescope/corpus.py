@@ -160,8 +160,8 @@ def _record_from_obj(
                 joined.encode("utf-8")
             except UnicodeEncodeError:
                 raise CorpusError(f"line {line_no}: 'tokens' hold a lone surrogate") from None
-        # where the tokens end in the record's head: after `{"tokens":[`,
-        # each token in quotes, the quotes joined by `,`
+        # where the tokens end in the record's head: after the 11 characters
+        # of `{"tokens":[`, each token in quotes, the quotes joined by `,`
         cut = 10 + len(joined) + 3 * len(tokens) if tokens else 11
     else:
         tokens, cut = run[1][:], len(run[0]) - 2
@@ -181,6 +181,7 @@ def _record_from_obj(
                 raise CorpusError(f"line {line_no}: unknown gold dimension {dim!r}")
             if type(value) is not str or value not in allowed:
                 raise CorpusError(f"line {line_no}: bad gold value {value!r} for {dim}")
+    # the proof of a head (see the module docstring) compares with this
     tail = f'],"concept":[{concept[0]},{concept[1]}]}}'
     # ``tuple.__new__`` skips the Python-level ``__new__`` of a NamedTuple
     record = CorpusRecord(tokens, tuple.__new__(ConceptSpan, concept), gold, line_no)
@@ -201,8 +202,7 @@ def iter_corpus(source: str | os.PathLike | Iterable[str]) -> Iterator[CorpusRec
     """
     if isinstance(source, (str, os.PathLike)):
         with open_corpus(source) as fh:
-            for record, _ in _iter_lines(fh):
-                yield record
+            yield from iter_corpus(fh)
     else:
         for record, _ in _iter_lines(source):
             yield record
