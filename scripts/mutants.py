@@ -423,8 +423,9 @@ def run_order(patched: Path, root: Path = ROOT) -> list[str]:
     ``root/src``: the module's own test file first (``x.py``:
     ``tests/test_x.py``), then the other test files and ``perfbench``, in
     the order pytest collects its ``testpaths``.  No paths for a module
-    with no test file of its own, which runs the whole suite in that order.  (Pytest
-    merges a file into a directory named beside it, so each file is named.)"""
+    with no test file of its own, which runs the whole suite in that
+    order.  (Pytest merges a file into a directory named beside it, so
+    each file is named.)"""
     own = root / "tests" / f"test_{patched.stem}.py"
     if not own.is_file():
         return []

@@ -181,7 +181,8 @@ def _record_from_obj(
                 raise CorpusError(f"line {line_no}: unknown gold dimension {dim!r}")
             if type(value) is not str or value not in allowed:
                 raise CorpusError(f"line {line_no}: bad gold value {value!r} for {dim}")
-    # the proof of a head (see the module docstring) compares with this
+    # the line is the record's head and a brace when its text from ``cut``
+    # is this (see the module docstring)
     tail = f'],"concept":[{concept[0]},{concept[1]}]}}'
     # ``tuple.__new__`` skips the Python-level ``__new__`` of a NamedTuple
     record = CorpusRecord(tokens, tuple.__new__(ConceptSpan, concept), gold, line_no)
