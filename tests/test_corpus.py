@@ -322,7 +322,7 @@ def test_reading_a_corpus_matches_reading_each_line_alone(lines):
 
 def test_a_canonical_line_is_its_records_head():
     lines = ['{"tokens":["no","fever"],"concept":[1,2]}', '{"tokens":["no","fever"],"concept":[0,2]}',
-             '{"tokens":[],"concept":[0,0]}', '\u00e9\u2028'.join(['{"tokens":["', '"],"concept":[0,1]}'])]
+             '{"tokens":[],"concept":[0,0]}', '{"tokens":["\u00e9\u2028"],"concept":[0,1]}']
     items = list(corpus._iter_lines(["\ufeff" + lines[0]] + lines[1:]))
     assert [head for _, head in items] == [line[:-1] for line in lines]
     assert [head for _, head in items] == [corpus._record_head(record) for record, _ in items]
