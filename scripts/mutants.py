@@ -135,36 +135,55 @@ MUTANTS: list[tuple[str, str, str]] = [
     ("the backward reach bound off by one, keeping a trigger that misses",
      "if not e.backward or m_start - e.window >= c_end:",
      "if not e.backward or m_start - e.window > c_end:"),
-    # the rule set's memo of its last directed resolution
-    ("the memo key without the sentence length",
-     "if last is not None and last[1] == sentence_len and last[0] == matches:",
-     "if last is not None and last[0] == matches:"),
+    # the memo of one sentence: the trie's entry, which annotate marks and fills
+    ("ownership of the trie's entry tested by equal matches, not by identity",
+     "if walked and walked[0] is matches[0]:",
+     "if walked and walked[0] == matches[0]:"),
+    ("the ownership test of the trie's entry dropped",
+     "if walked and walked[0] is matches[0]:",
+     "if walked:"),
+    ("no guard for an entry with no matches",
+     "if walked and walked[0] is matches[0]:",
+     "if walked[0] is matches[0]:"),
+    ("state written onto another sentence's entry",
+     "if walked and walked[0] is matches[0]:",
+     "if walked and walked[0] is matches[0] or memo.__setitem__(0, (*entry[:2], None)):"),
     ("the memo key holding the caller's own list, not a copy",
-     "memo[0] = (matches[:], sentence_len, None)",
-     "memo[0] = (matches, sentence_len, None)"),
+     "memo[0] = (entry[0], walked, None)",
+     "memo[0] = (tokens, walked, None)"),
+    ("the entry never marked, so never filled",
+     "memo[0] = (entry[0], walked, None)",
+     "memo[0] = entry"),
+    ("a fill on every later call",
+     "if reach is None:",
+     "if True:"),
     ("the fill storing directed scopes instead of the full ones",
-     "for scope in _resolve_all(matches, ruleset, sentence_len):",
-     "for scope in resolve_scopes(matches, RuleSet(ruleset.rules), sentence_len, concept):"),
+     "for scope in resolve_scopes(matches, ruleset, n):",
+     "for scope in resolve_scopes(matches, ruleset, n, concept):"),
+    ("a pick that resolves again",
+     "                scopes = [scope for scope, f_lo, f_hi, b_lo, b_hi in reach\n"
+     "                          if f_lo <= start < f_hi or b_lo < end <= b_hi]\n",
+     "                scopes = resolve_scopes(matches, ruleset, n, concept)\n"),
     ("the hit's forward lower bound off by one",
-     "if f_lo <= c_start < f_hi or b_lo < c_end <= b_hi]",
-     "if f_lo < c_start < f_hi or b_lo < c_end <= b_hi]"),
+     "if f_lo <= start < f_hi or b_lo < end <= b_hi]",
+     "if f_lo < start < f_hi or b_lo < end <= b_hi]"),
     ("the hit's forward upper bound off by one",
-     "if f_lo <= c_start < f_hi or b_lo < c_end <= b_hi]",
-     "if f_lo <= c_start <= f_hi or b_lo < c_end <= b_hi]"),
+     "if f_lo <= start < f_hi or b_lo < end <= b_hi]",
+     "if f_lo <= start <= f_hi or b_lo < end <= b_hi]"),
     ("the hit's backward lower bound off by one",
-     "if f_lo <= c_start < f_hi or b_lo < c_end <= b_hi]",
-     "if f_lo <= c_start < f_hi or b_lo <= c_end <= b_hi]"),
+     "if f_lo <= start < f_hi or b_lo < end <= b_hi]",
+     "if f_lo <= start < f_hi or b_lo <= end <= b_hi]"),
     ("the hit's backward upper bound off by one",
-     "if f_lo <= c_start < f_hi or b_lo < c_end <= b_hi]",
-     "if f_lo <= c_start < f_hi or b_lo < c_end < b_hi]"),
-    ("one memo shared by every rule set",
-     'object.__setattr__(self, "table", tuple(map(_entry, rules)))\n'
-     '        object.__setattr__(self, "_memo", [None])',
-     'object.__setattr__(self, "table", tuple(map(_entry, rules)))\n'
-     '        object.__setattr__(self, "_memo", globals().setdefault("_MEMO", [None]))'),
-    ("an undirected call that reads the memo",
-     "    if concept is not None:\n        memo = ruleset._memo\n",
-     "    if True:\n        memo = ruleset._memo\n"),
+     "if f_lo <= start < f_hi or b_lo < end <= b_hi]",
+     "if f_lo <= start < f_hi or b_lo < end < b_hi]"),
+    ("one store of the entry for every trie",
+     "memo = trie._memo\n        entry = memo[0]",
+     'memo = globals().setdefault("_MEMO", trie._memo)\n        entry = memo[0]'),
+    ("the record loop reading the trie entry's store",
+     "scopes = resolve_scopes(matches, ruleset, n) if matches else []",
+     "scopes = resolve_scopes(matches, ruleset, n) if matches else []\n"
+     "                if trie is not None and len(trie._memo[0] or ()) == 3:\n"
+     "                    scopes = trie._memo[0][2] or scopes"),
     # pseudo suppression and termination cuts, in one pass
     ("a forward stop at the scope's first token cutting it",
      "i = bisect_right(stops, start)",
@@ -292,6 +311,12 @@ MUTANTS: list[tuple[str, str, str]] = [
      "for dim, (_, (cue, dimension, value, _, _)) in best.items():",
      "for dim, (_, (cue, dimension, value, _, _)) in sorted(best.items()):"),
     # the command line
+    ("a closed stdout not refused",
+     "if sys.stdout is None:",
+     "if False:"),
+    ("a closed stdin not refused",
+     "if sys.stdin is None:",
+     "if False:"),
     ("no same-file check",
      "return stat.S_ISREG(read.st_mode) and os.path.samestat(read, written)",
      "return False"),
@@ -339,8 +364,8 @@ MUTANTS: list[tuple[str, str, str]] = [
      "return self.rules == other.rules",
      "return True"),
     ("an assignable RuleSet.table",
-     '__slots__ = ("rules", "table", "_memo")',
-     '__slots__ = ("rules", "table", "_memo")\n\n'
+     '__slots__ = ("rules", "table")',
+     '__slots__ = ("rules", "table")\n\n'
      "    def __setattr__(self, name, value):\n"
      '        if name != "table":\n'
      "            _Frozen.__setattr__(self, name, value)\n"

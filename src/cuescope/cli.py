@@ -100,6 +100,8 @@ def _load_rules(path: str) -> RuleSet:
 def _open_out(path: str) -> contextlib.AbstractContextManager[IO[str]]:
     """``path`` ('-': stdout) for writing; leaving the block closes a file only."""
     if path == "-":
+        if sys.stdout is None:  # the process started with it closed
+            raise corpus_mod.CorpusError("standard output is closed")
         return contextlib.nullcontext(sys.stdout)
     return open(path, "w", encoding="utf-8")
 
@@ -108,6 +110,8 @@ def _open_in(path: str) -> contextlib.AbstractContextManager[IO[str]]:
     """The corpus at ``path`` ('-': stdin), opened for ``iter_corpus``."""
     if path != "-":
         return corpus_mod.open_corpus(path)
+    if sys.stdin is None:  # the process started with it closed
+        raise corpus_mod.CorpusError("standard input is closed")
     try:
         fd = sys.stdin.fileno()
     except (AttributeError, io.UnsupportedOperation):  # stdin is an in-memory stream
@@ -172,7 +176,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     ruleset = _load_rules(args.rules)
     with _open_in(args.gold) as source:
         report = score((result, record) for result, record, _ in _annotated(source, ruleset))
-    sys.stdout.write(report.render_csv() if args.format == "csv" else report.render_text())
+    with _open_out("-") as out:
+        out.write(report.render_csv() if args.format == "csv" else report.render_text())
     return EXIT_OK
 
 

@@ -29,34 +29,17 @@ next record, and matches and resolves each run of consecutive records with
 equal tokens once: at the run's first valid concept, whose scopes every
 later concept of the run is assigned from.  A sentence with no match
 skips resolution, and one with no scope skips assignment.
-:func:`annotate` is the one-record case.  It stops at the first empty
-step, so a cue-free sentence costs one span check and one matcher call.
-It also passes its concept to :func:`resolve_scopes`, which then drops
-every trigger that cannot reach the concept before its pseudo test, its
-termination cuts and its scopes; the record loop passes none, as a run's
-scopes serve all its concepts.  A directed call memoises on the rule set:
-the next call with equal matches and length resolves the sentence in
-full and keeps each scope with the concepts its trigger reaches, and the
-calls after it pick their scopes from that store.  So the concepts of one
-sentence, annotated one call at a time, resolve it once, as the trie's
-memo has them match it once.  A concept is a :class:`ConceptSpan` or
-any ``(start, end)`` pair.
+:func:`annotate` is the one-record case: it resolves only the triggers
+that can reach its concept, and through a trie shares one sentence's work
+across calls (its docstring says how).  A concept is a
+:class:`ConceptSpan` or any ``(start, end)`` pair.
 
-Scope resolution is one pass over the matches, which the matchers return
-sorted by start; it reads each rule through ``RuleSet.table``, built
-once per rule set, once per match.  Step 1 marks, per dimension, the
-tokens its pseudo matches cover in a byte array, and drops a trigger or
-termination with a marked token.  Step 3 keeps, per dimension, the
-forward stops in the order they arrive and the backward stops sorted,
-and finds each scope's nearest cut by bisection.  So a call costs time
-linear in its matches, apart from that sort and one bisection a scope.
+:func:`resolve_scopes` says how resolution stays linear in the matches.
 Each :class:`Scope` is built as a tuple.  A concept no scope reaches
 gets one shared, immutable :class:`ContextAnnotation`.  Every result here
-depends on the inputs only: the trie and the rule set each keep a
-one-entry memo of their last sentence, and no memo changes a result.
-The matchers fold case, so every entry point is case-insensitive.  The
-engine reads only token counts, apart from the run check of
-:func:`annotate_records`, which compares tokens.
+depends on the inputs only.  The matchers fold case, so every entry point
+is case-insensitive.  The engine reads only token counts, apart from the
+run check of :func:`annotate_records`, which compares tokens.
 """
 
 from __future__ import annotations
@@ -180,45 +163,12 @@ def resolve_scopes(
     side of a bidirectional trigger, or a scope that a termination cut
     short of the concept.
 
-    A call with ``concept`` memoises on ``ruleset``, whose ``_memo`` keeps
-    the matches and length of the last such call.  A call with other
-    matches or another length resolves as above and stores a copy of
-    them.  The first call with equal ones resolves the sentence in full
-    and stores every scope with the concepts its trigger reaches: on its
-    forward side those that start in ``[cue.end, cue.end + window)``, on
-    its backward side those that end in ``(cue.start - window,
-    cue.start]``.  Later equal calls pick the scopes whose trigger
-    reaches their concept from that store.  Every call returns a new
-    list, equal to what a rule set with an empty memo returns, so a
-    result depends on the inputs only.  A call without ``concept``
-    neither reads nor writes the memo.
+    It reads and writes no state.
     """
     if not matches:
         return []
     table = ruleset.table
     if concept is not None:
-        memo = ruleset._memo
-        last = memo[0]
-        if last is not None and last[1] == sentence_len and last[0] == matches:
-            reach = last[2]
-            if reach is None:
-                reach = []
-                for scope in _resolve_all(matches, ruleset, sentence_len):
-                    cue = scope.cue
-                    _, _, _, forward, backward, window, _, _ = table[cue.rule_id]
-                    # (scope, forward [lo, hi) of the concept's start, backward
-                    # (lo, hi] of its end); a side the trigger does not act on is empty
-                    reach.append((
-                        scope,
-                        cue.end, cue.end + window if forward else cue.end,
-                        cue.start - window if backward else cue.start, cue.start,
-                    ))
-                memo[0] = (last[0], sentence_len, reach)
-            c_start, c_end = concept
-            return [scope for scope, f_lo, f_hi, b_lo, b_hi in reach
-                    if f_lo <= c_start < f_hi or b_lo < c_end <= b_hi]
-        # one store of a new tuple, so a thread never reads half an entry
-        memo[0] = (matches[:], sentence_len, None)
         c_start, c_end = concept
     triggers: list[tuple[CueMatch, RuleEntry]] = []  # the kept ones, in match order
     terminations: list[tuple[CueMatch, RuleEntry]] = []
@@ -302,12 +252,6 @@ def resolve_scopes(
     return scopes
 
 
-#: The fill's full resolution: the function itself, called through a name
-#: that a tracer wrapping ``resolve_scopes`` leaves alone, so that one call
-#: makes one resolution span.
-_resolve_all = resolve_scopes
-
-
 def _cue_distance(cue: CueMatch, concept: ConceptSpan) -> int:
     """Token gap between the cue's nearest edge and the concept's."""
     c_start, c_end = concept
@@ -373,11 +317,23 @@ def annotate(
     call, a sentence with no cue word, calls only the matcher.  It reads
     only the token count; the matcher folds case.  Resolution is directed
     at the concept: only the triggers whose scopes can reach it are
-    resolved (README "Experiments" gives the gains).  The trie keeps the
-    matches of the last sentence it walked, so several concepts of one
-    sentence, annotated one call at a time, match it once, and the rule
-    set keeps the scopes of the last matches it resolved, so they resolve
-    it once; each call still assigns its own concept.
+    resolved (README "Experiments" gives the gains).
+
+    Through ``trie``, the concepts of one sentence, annotated one call at
+    a time, share its work.  The trie keeps one entry, for the last
+    sentence it walked: a copy of its tokens and a tuple of its matches,
+    so it matches the sentence once (:func:`find_matches_trie`).  This
+    function extends that entry.  The sentence's first call resolves
+    directed and marks the entry; the second resolves the sentence in
+    full and stores each scope with the concepts its trigger reaches: on
+    its forward side those that start in ``[cue.end, cue.end + window)``,
+    on its backward side those that end in ``(cue.start - window,
+    cue.start]``.  Later calls pick their scopes from that store.  The
+    entry is this call's when it holds the very matches the trie just
+    returned, as every walk builds new ones; an entry another thread's
+    walk left is not written.  Each write stores a new tuple whole, so
+    threads may share a trie, and every call returns what a new trie
+    gives.  Without a trie nothing is kept.
     """
     if trie is not None and trie.ruleset is not ruleset:
         _check_trie(trie, ruleset)
@@ -391,6 +347,32 @@ def annotate(
         matches = find_matches_naive(ruleset, tokens)
     if not matches:
         return _NO_CUE
+    if trie is not None:
+        memo = trie._memo
+        entry = memo[0]
+        walked = entry[1]  # empty when another thread walked a cue-free sentence
+        if walked and walked[0] is matches[0]:
+            if len(entry) == 2:  # the sentence's first concept: mark the entry, resolve directed
+                memo[0] = (entry[0], walked, None)
+            else:
+                reach = entry[2]
+                if reach is None:
+                    reach = []
+                    table = ruleset.table
+                    for scope in resolve_scopes(matches, ruleset, n):
+                        cue = scope.cue
+                        _, _, _, forward, backward, window, _, _ = table[cue.rule_id]
+                        # (scope, forward [lo, hi) of the concept's start, backward
+                        # (lo, hi] of its end); a side the trigger does not act on is empty
+                        reach.append((
+                            scope,
+                            cue.end, cue.end + window if forward else cue.end,
+                            cue.start - window if backward else cue.start, cue.start,
+                        ))
+                    memo[0] = (entry[0], walked, reach)
+                scopes = [scope for scope, f_lo, f_hi, b_lo, b_hi in reach
+                          if f_lo <= start < f_hi or b_lo < end <= b_hi]
+                return _assign(scopes, ruleset.table, concept) if scopes else _NO_CUE
     scopes = resolve_scopes(matches, ruleset, n, concept)
     return _assign(scopes, ruleset.table, concept) if scopes else _NO_CUE
 

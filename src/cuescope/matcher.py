@@ -14,14 +14,9 @@ Two interchangeable matchers produce identical output:
   chain ends.  The winner is the deepest node's ``terminal_rules`` list
   itself, kept sorted by ``build_trie``; ids are copied and sorted only
   when two branches end at the same depth, which needs a wildcard branch.
-  Each trie keeps a memo of the last sentence it walked: a copy of the
-  caller's tokens and a tuple of their matches.  A sentence that passes
-  the set test and equals that copy gets a new list of the stored
-  matches and is not walked, so the concepts of one sentence, annotated
-  one call at a time, walk it once.  Only a walk writes the memo, in one
-  store of a new tuple; a sentence with no root-key word neither reads
-  nor writes it.  Threads may share a trie, since the entry is one
-  immutable tuple that a walk replaces whole.
+  Each trie keeps a one-entry memo of the last sentence it walked, which
+  :func:`cuescope.engine.annotate` describes; a sentence with no
+  root-key word neither reads nor writes it.
 * :func:`find_matches_naive` scans rule by rule, the way loop-based
   engines do.  It is the reference oracle; its runtime grows linearly
   with the rule count, which is exactly what the benchmark measures.
@@ -74,11 +69,8 @@ class RuleTrie(_Frozen):
     a phrase starts with a wildcard, so any word can.
 
     ``_memo`` is a one-element list, the one part of a trie that changes:
-    it holds None or ``(copy of tokens, tuple of matches)`` for the last
-    sentence :func:`find_matches_trie` walked.  Threads may share a trie:
-    the entry is one immutable tuple, replaced whole, so a reader gets
-    either the old entry or the new one, and each caller a list of its
-    own.  A pickled or copied trie starts with an empty memo.
+    the memo :func:`cuescope.engine.annotate` describes.  A pickled or
+    copied trie starts with an empty one.
     """
 
     __slots__ = ("root", "ruleset", "_first_words", "_memo")

@@ -218,24 +218,15 @@ class RuleSet(_Frozen):
     ``table[i]`` is rule ``i``'s :class:`RuleEntry`, built once here.  Two
     rule sets are equal when their rules are.
 
-    ``_memo`` is a one-element list, the one part of a rule set that
-    changes: it holds None or ``(copy of matches, sentence_len, reach)``
-    for the last directed call of :func:`cuescope.engine.resolve_scopes`,
-    whose result depends only on those two values and on ``table``.
-    ``reach`` is None until a call with equal matches and length fills
-    it.  Results still depend on their inputs only, through this one
-    memo.  Threads may share a rule set: the entry is one tuple, replaced
-    whole, so a reader gets either the old entry or the new one, and each
-    caller a list of its own.  A pickled or copied rule set starts with
-    an empty memo.
+    It holds no state: :func:`cuescope.engine.annotate` keeps its memo
+    on the trie.
     """
 
-    __slots__ = ("rules", "table", "_memo")
+    __slots__ = ("rules", "table")
 
     def __init__(self, rules: tuple[ContextRule, ...]) -> None:
         object.__setattr__(self, "rules", rules)
         object.__setattr__(self, "table", tuple(map(_entry, rules)))
-        object.__setattr__(self, "_memo", [None])
 
     def __eq__(self, other: object) -> bool:
         if type(other) is not RuleSet:

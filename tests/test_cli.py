@@ -139,6 +139,22 @@ def test_annotate_into_a_closed_pipe_exits_141_quietly(tmp_path, paper_rules):
     assert json.loads(first)["tokens"] == ["no", "mi"]
 
 
+@pytest.mark.parametrize("stream, argv", [
+    ("stdout", ["annotate", "--input", "{gold}"]),
+    ("stdout", ["evaluate", "--gold", "{gold}"]),
+    ("stdin", ["annotate"]),
+    ("stdin", ["evaluate", "--gold", "-"]),
+])
+def test_a_closed_standard_stream_is_a_data_error(starter_rules_path, hand_gold_path, capsys, monkeypatch,
+                                                  stream, argv):
+    # a process started with the stream closed (`>&-`, `<&-`) finds it None in sys
+    monkeypatch.setattr(sys, stream, None)
+    command, *rest = (arg.format(gold=hand_gold_path) for arg in argv)
+    assert run_cli(command, "--rules", str(starter_rules_path), *rest) == 3
+    name = "output" if stream == "stdout" else "input"
+    assert capsys.readouterr().err == f"error: standard {name} is closed\n"
+
+
 def test_annotate_bad_corpus_exit_3(tmp_path, paper_rules, capsys):
     corpus = tmp_path / "bad.jsonl"
     corpus.write_text("{not json\n", encoding="utf-8")

@@ -138,9 +138,8 @@ def test_a_length_past_the_tokens_bounds_scopes_but_not_suppression():
     for n, end in ((3, 3), (5, 5), (6, 6), (9, 6)):
         scopes = resolve_scopes(matches, rs, n)
         assert [(s.start, s.end) for s in scopes] == [(1, end)]
-        memo = RuleSet(rs.rules)  # miss, fill, hit
-        for _ in range(3):
-            assert resolve_scopes(matches, memo, n, ConceptSpan(end - 1, end)) == scopes
+        for _ in range(3):  # resolution is pure: equal calls give equal results
+            assert resolve_scopes(matches, rs, n, ConceptSpan(end - 1, end)) == scopes
 
 
 # --- annotate ---
@@ -298,7 +297,7 @@ def test_rule_sets_tries_and_results_are_immutable():
     trie = build_trie(rs)
     hit = annotate(["no", "mi"], ConceptSpan(1, 2), rs, trie)
     for obj, names in (
-        (rs, ("rules", "table", "_memo")), (trie, ("root", "ruleset", "_memo")),
+        (rs, ("rules", "table")), (trie, ("root", "ruleset", "_memo")),
         (rs[0], ContextRule._fields),
         (hit, ContextAnnotation._fields), (ContextAnnotation(), ContextAnnotation._fields),
     ):
@@ -316,14 +315,15 @@ def test_rule_sets_and_tries_pickle_and_copy():
     trie = build_trie(rules)
     records = [(r.tokens, r.concept) for r in generate_corpus(GeneratorConfig(3, 200, 0.8), rules)]
     expected = list(annotate_records(records, rules, trie))
-    # two directed calls on one sentence fill the rule set's memo
+    # two calls on one sentence fill the trie's entry
     cued = next(tokens for tokens, _ in records if find_matches_naive(rules, tokens))
     for concept in (ConceptSpan(0, 1), ConceptSpan(len(cued) - 1, len(cued))):
         annotate(cued, concept, rules, trie)
-    assert rules._memo[0] is not None and rules._memo[0][2] is not None
+    entry = trie._memo[0]
+    assert entry[0] == cued and len(entry) == 3 and entry[2] is not None
     clones = [pickle.loads(pickle.dumps((rules, trie))), copy.deepcopy((rules, trie))]
-    for clone in (copy.copy(rules), *(clone_rules for clone_rules, _ in clones)):
-        assert clone._memo == [None] and clone._memo is not rules._memo
+    for clone in (copy.copy(trie), *(clone_trie for _, clone_trie in clones)):
+        assert clone._memo == [None] and clone._memo is not trie._memo
     for clone_rules, clone_trie in clones:
         assert clone_trie.ruleset is clone_rules
         assert clone_rules == rules and clone_rules is not rules
@@ -575,16 +575,28 @@ _ABCDE = ["a", "b", "c", "d", "e"]
 def test_directed_resolution_keeps_the_scopes_of_the_triggers_that_reach_the_concept(ruleset, sc):
     tokens, concept = sc
     n = len(tokens)
-    ruleset = RuleSet(ruleset.rules)  # an empty memo: the calls below miss, fill, then hit it
     matches = find_matches_naive(ruleset, tokens)
     full = resolve_scopes(matches, ruleset, n)
-    for _ in range(3):
-        directed = resolve_scopes(matches, ruleset, n, concept)
-        # every scope assignment can pick survives, and the kept scopes are
-        # exactly those of the triggers that can reach the concept
-        assert [s for s in directed if _reaches(s, concept)] == [s for s in full if _reaches(s, concept)]
-        assert directed == [s for s in full if _trigger_reaches(s, concept, ruleset, n)]
+    directed = resolve_scopes(matches, ruleset, n, concept)
+    # every scope assignment can pick survives, and the kept scopes are
+    # exactly those of the triggers that can reach the concept
+    assert [s for s in directed if _reaches(s, concept)] == [s for s in full if _reaches(s, concept)]
+    assert directed == [s for s in full if _trigger_reaches(s, concept, ruleset, n)]
     assert resolve_scopes(matches, ruleset, n, tuple(concept)) == directed
+    # through one trie the concept is resolved directed, then in full, then
+    # picked from the store: each call assigns from those same scopes
+    assigned = []
+    assign = engine._assign
+
+    def spy(scopes, table, c):
+        assigned.append(list(scopes))
+        return assign(scopes, table, c)
+
+    trie, want = build_trie(ruleset), annotate(tokens, concept, ruleset)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine, "_assign", spy)
+        assert [annotate(tokens, concept, ruleset, trie) for _ in range(3)] == [want] * 3
+    assert assigned == ([directed] * 3 if directed else [])
 
 
 # phrases of up to three words, so that a termination that starts earlier
@@ -635,7 +647,7 @@ def test_crowded_long_sentences_agree_with_reference_oracle(ruleset, sc):
     tokens, concepts = sc
     expected = [reference_annotate(ruleset, tokens, c.start, c.end) for c in concepts]
     for trie in (build_trie(ruleset), None):
-        # one call a concept: the rule set's memo misses, fills, then hits
+        # one call a concept: the trie's entry is marked, filled, then picked from
         assert [reference_form(annotate(tokens, c, ruleset, trie)) for c in concepts] == expected
         results = annotate_records(((tokens, c) for c in concepts), ruleset, trie)
         assert list(map(reference_form, results)) == expected
@@ -964,18 +976,18 @@ def test_only_the_trie_memoises_a_sentence(starter_rules):
     assert not any(a is b for a, b in zip(first, second))
 
 
-# --- the rule set's memo of its last directed resolution ---
+# --- the memo of one sentence: the trie's entry, extended by annotate ---
 
 _memo_call = st.tuples(
     st.integers(0, 2),  # sentence of the pool
-    st.sampled_from(["directed", "undirected", "trie", "naive"]),
-    st.integers(0, 1),  # rule set
+    st.sampled_from(["trie", "trie", "records", "naive", "directed", "undirected"]),
+    st.integers(0, 1),  # rule set, and its trie
     st.integers(0, 2),  # tokens added to the length resolve_scopes is given
     st.integers(0, 99),  # concept start, folded into the length
     st.integers(0, 99),  # concept length, folded into what is left
-    st.booleans(),  # matches passed in one list, refilled in place
+    st.booleans(),  # tokens passed in one list, refilled in place
     st.booleans(),  # a plain-tuple concept
-    st.booleans(),  # the caller mutates a returned list
+    st.booleans(),  # the caller mutates a list resolve_scopes returned
 )
 
 
@@ -987,27 +999,27 @@ _ACC = ["a", "c", "c"]
 
 
 @settings(max_examples=200, deadline=None)
-# equal matches with another length: the key holds the length
+# equal matches resolved at another length
 @example(_rules(trigger("a", window=5)), _rules(trigger("a")), [_ACC],
          [_call(0, "directed", start=1), _call(0, "directed", extra=2, start=1),
           _call(0, "directed", start=1)])
-# one list refilled in place: the key is a copy of the matches
+# one token list refilled in place: the entry's key stays a copy of the tokens
 @example(_rules(trigger("a", window=5)), _rules(trigger("a")), [_ACC, ["c", "a", "c"]],
-         [_call(0, "directed", start=2, refill=True), _call(1, "directed", start=2, refill=True),
-          _call(0, "directed", start=2, refill=True)])
+         [_call(0, "trie", start=2, refill=True), _call(1, "trie", start=2, refill=True),
+          _call(0, "trie", start=2, refill=True)])
 # the fill stores the scopes of every trigger, not only of those that reach its concept
 @example(_rules(trigger("a", window=1), trigger("c", window=1)), _rules(trigger("a")),
          [["a", "b", "c", "d"]],
-         [_call(0, "directed", start=1), _call(0, "directed", start=3), _call(0, "directed", start=1)])
-# equal matches of two rule sets: each keeps its own memo
+         [_call(0, "trie", start=1), _call(0, "trie", start=3), _call(0, "trie", start=1)])
+# two tries of different rule sets on equal tokens and equal matches: each keeps its own entry
 @example(_rules(trigger("a", window=5)), _rules(trigger("a", Direction.BACKWARD, window=5)),
          [["c", "a", "c"]],
-         [_call(0, "directed", 0, start=2), _call(0, "directed", 1, start=0),
-          _call(0, "directed", 0, start=2)])
-# an undirected call after a directed one on the same matches
+         [_call(0, "trie", 0, start=2), _call(0, "trie", 1, start=0), _call(0, "trie", 0, start=2),
+          _call(0, "trie", 1, start=0), _call(0, "trie", 0, start=2)])
+# the record loop and an undirected resolution after the entry is filled
 @example(_rules(trigger("a", window=5)), _rules(trigger("a")), [_ACC],
-         [_call(0, "directed", start=1), _call(0, "undirected"), _call(0, "directed", start=2),
-          _call(0, "undirected", mutate=True), _call(0, "directed", start=1, mutate=True)])
+         [_call(0, "trie", start=1), _call(0, "trie", start=2), _call(0, "records", start=2),
+          _call(0, "undirected", mutate=True), _call(0, "trie", start=1)])
 @given(
     rule_sets(rules=_dense_rule, max_size=8),
     rule_sets(rules=_dense_rule, max_size=8),
@@ -1021,26 +1033,99 @@ def test_memoised_resolution_equals_an_empty_memo(ruleset, other_rules, pool, ca
     buffer: list = []
     for index, kind, which, extra, start, size, refill, plain, mutate in calls:
         rs, tokens = rule_sets_[which], pool[index % len(pool)]
+        if refill:
+            buffer[:] = tokens
+            tokens = buffer
         n = len(tokens) + (extra if kind in ("directed", "undirected") else 0)
         start %= n
         span = (start, start + 1 + size % (n - start))
         concept = span if plain else ConceptSpan(*span)
-        # a rule set with an empty memo, equal to rs
-        fresh = RuleSet(rs.rules)
-        if kind in ("trie", "naive"):
-            trie = tries[which] if kind == "trie" else None
-            assert annotate(tokens, concept, rs, trie) == annotate(tokens, concept, fresh)
+        if kind in ("trie", "records", "naive"):
+            want = annotate(tokens, concept, rs, build_trie(rs))  # a new trie: an empty entry
+            if kind == "records":
+                assert list(annotate_records([(tokens, concept)], rs, tries[which])) == [want]
+            else:
+                assert annotate(tokens, concept, rs, tries[which] if kind == "trie" else None) == want
             continue
+        # resolution is pure: it returns what a new rule set gives, and leaves the matches alone
         matches = find_matches_naive(rs, tokens)
-        if refill:
-            buffer[:] = matches
-            matches = buffer
+        before = matches[:]
         directed = concept if kind == "directed" else None
         result = resolve_scopes(matches, rs, n, directed)
-        assert result == resolve_scopes(matches, fresh, n, directed)
+        assert result == resolve_scopes(matches, RuleSet(rs.rules), n, directed)
+        assert matches == before
         if mutate:
             result.reverse()
             result.append(None)
+
+
+def test_one_sentence_resolves_directed_then_in_full_then_not_again(monkeypatch):
+    rs = _rules(trigger("no", window=5), trigger("denies", Direction.BACKWARD, window=5))
+    trie = build_trie(rs)
+    tokens, other = ["no", "fever", "or", "chills", "denies"], ["no", "cough"]
+    concepts = [ConceptSpan(1, 2), ConceptSpan(3, 4), ConceptSpan(2, 3), ConceptSpan(1, 4)]
+    expected = {c: annotate(tokens, c, rs) for c in concepts}
+    calls = []
+
+    def counted(matches, ruleset, n, concept=None):
+        calls.append("full" if concept is None else "directed")
+        return resolve_scopes(matches, ruleset, n, concept)
+
+    monkeypatch.setattr(engine, "resolve_scopes", counted)
+
+    def resolves(sentence, concept):
+        """The resolve calls of one annotate call through the trie."""
+        calls.clear()
+        result = annotate(sentence, concept, rs, trie)
+        if sentence is tokens:
+            assert result == expected[concept]
+        return calls[:]
+
+    assert resolves(tokens, concepts[0]) == ["directed"]
+    assert trie._memo[0][2:] == (None,)  # marked
+    assert resolves(tokens, concepts[1]) == ["full"]
+    filled = trie._memo[0]
+    assert filled[2]
+    assert resolves(tokens, concepts[2]) == [] and resolves(tokens, concepts[3]) == []
+    # an invalid span and a cue-free sentence leave the entry as it was
+    with pytest.raises(InvalidSpan):
+        annotate(tokens, ConceptSpan(4, 6), rs, trie)
+    assert resolves(["mild", "cough"], ConceptSpan(0, 1)) == []
+    assert trie._memo[0] is filled and calls == []
+    assert resolves(tokens, concepts[0]) == []
+    # another sentence in between: the first one starts over
+    assert resolves(other, ConceptSpan(1, 2)) == ["directed"]
+    assert [resolves(tokens, c) for c in concepts] == [["directed"], ["full"], [], []]
+
+
+@pytest.mark.parametrize("left", ["walked", "filled", "walked with no match"])
+def test_an_entry_another_sentence_left_is_neither_used_nor_written(left, monkeypatch):
+    # "denies any" makes "denies" a root key that matches nothing alone
+    rs = _rules(trigger("no", window=5), trigger("denies any", Direction.BACKWARD))
+    trie = build_trie(rs)
+    # the other sentence's matches equal this one's, but its scope ends at 2
+    tokens, concepts = ["no", "a", "b", "c"], [ConceptSpan(3, 4), ConceptSpan(2, 3), ConceptSpan(3, 4)]
+    expected = [annotate(tokens, c, rs, build_trie(rs)) for c in concepts]
+    assert all(result.negation is NegationStatus.NEGATED for result in expected)
+    if left == "filled":
+        for _ in range(2):
+            annotate(["no", "a"], ConceptSpan(1, 2), rs, trie)
+    else:
+        sentence = ["no", "a"] if left == "walked" else ["denies", "a"]
+        assert len(find_matches_trie(trie, sentence)) == (left == "walked")
+    foreign = trie._memo[0]
+    assert len(foreign) == (3 if left == "filled" else 2) and foreign[0] != tokens
+
+    def replaced(t, sentence):
+        # another thread's walk lands between this call's walk and its read of the entry
+        matches = find_matches_trie(t, sentence)
+        t._memo[0] = foreign
+        return matches
+
+    monkeypatch.setattr(engine, "find_matches_trie", replaced)
+    for concept, want in zip(concepts, expected):
+        assert annotate(tokens, concept, rs, trie) == want
+        assert trie._memo[0] is foreign
 
 
 def test_threads_sharing_a_rule_set_get_the_results_of_an_empty_memo():
@@ -1062,7 +1147,7 @@ def test_threads_sharing_a_rule_set_get_the_results_of_an_empty_memo():
                     wrong.append((k, concept))
 
     interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)  # switch threads often, inside a fill too
+    sys.setswitchinterval(1e-5)  # switch threads often, between a walk and its entry's read too
     try:
         threads = [threading.Thread(target=work, args=(n,)) for n in range(4)]
         for thread in threads:
