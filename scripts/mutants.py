@@ -289,16 +289,10 @@ MUTANTS: list[tuple[str, str, str]] = [
     ("a cue-free result returned before the span check",
      "    if not 0 <= start < end <= n:\n"
      "        raise _invalid_span(concept, n)\n"
-     "    if trie is not None:\n"
-     "        matches = find_matches_trie(trie, tokens)\n"
-     "    else:\n"
-     "        matches = find_matches_naive(ruleset, tokens)\n"
+     "    matches = find_matches_trie(trie, tokens) if trie is not None else find_matches_naive(ruleset, tokens)\n"
      "    if not matches:\n"
      "        return _NO_CUE\n",
-     "    if trie is not None:\n"
-     "        matches = find_matches_trie(trie, tokens)\n"
-     "    else:\n"
-     "        matches = find_matches_naive(ruleset, tokens)\n"
+     "    matches = find_matches_trie(trie, tokens) if trie is not None else find_matches_naive(ruleset, tokens)\n"
      "    if not matches:\n"
      "        return _NO_CUE\n"
      "    if not 0 <= start < end <= n:\n"

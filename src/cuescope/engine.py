@@ -323,12 +323,13 @@ def annotate(
     a time, share its work.  The trie keeps one entry, for the last
     sentence it walked: a copy of its tokens and a tuple of its matches,
     so it matches the sentence once (:func:`find_matches_trie`).  This
-    function extends that entry.  The sentence's first call resolves
-    directed and marks the entry; the second resolves the sentence in
-    full and stores each scope with the concepts its trigger reaches: on
-    its forward side those that start in ``[cue.end, cue.end + window)``,
-    on its backward side those that end in ``(cue.start - window,
-    cue.start]``.  Later calls pick their scopes from that store.  The
+    function extends that entry with a third slot.  The sentence's first
+    call resolves directed and marks the entry (the slot holds None); the
+    second resolves the sentence in full and stores there each scope with
+    the concepts its trigger reaches: on its forward side those that
+    start in ``[cue.end, cue.end + window)``, on its backward side those
+    that end in ``(cue.start - window, cue.start]``.  Later calls pick
+    their scopes from that store.  The
     entry is this call's when it holds the very matches the trie just
     returned, as every walk builds new ones; an entry another thread's
     walk left is not written.  Each write stores a new tuple whole, so
@@ -341,38 +342,30 @@ def annotate(
     n = len(tokens)
     if not 0 <= start < end <= n:
         raise _invalid_span(concept, n)
-    if trie is not None:
-        matches = find_matches_trie(trie, tokens)
-    else:
-        matches = find_matches_naive(ruleset, tokens)
+    matches = find_matches_trie(trie, tokens) if trie is not None else find_matches_naive(ruleset, tokens)
     if not matches:
         return _NO_CUE
     if trie is not None:
         memo = trie._memo
         entry = memo[0]
-        walked = entry[1]  # empty when another thread walked a cue-free sentence
+        walked = entry[1]  # empty when another thread walked a sentence with no match
         if walked and walked[0] is matches[0]:
-            if len(entry) == 2:  # the sentence's first concept: mark the entry, resolve directed
-                memo[0] = (entry[0], walked, None)
-            else:
+            if len(entry) == 3:  # marked or filled: a later concept of the sentence
                 reach = entry[2]
-                if reach is None:
+                if reach is None:  # the second concept resolves the sentence in full
                     reach = []
-                    table = ruleset.table
                     for scope in resolve_scopes(matches, ruleset, n):
                         cue = scope.cue
-                        _, _, _, forward, backward, window, _, _ = table[cue.rule_id]
+                        _, _, _, forward, backward, window, _, _ = ruleset.table[cue.rule_id]
                         # (scope, forward [lo, hi) of the concept's start, backward
                         # (lo, hi] of its end); a side the trigger does not act on is empty
-                        reach.append((
-                            scope,
-                            cue.end, cue.end + window if forward else cue.end,
-                            cue.start - window if backward else cue.start, cue.start,
-                        ))
+                        reach.append((scope, cue.end, cue.end + window if forward else cue.end,
+                                      cue.start - window if backward else cue.start, cue.start))
                     memo[0] = (entry[0], walked, reach)
                 scopes = [scope for scope, f_lo, f_hi, b_lo, b_hi in reach
                           if f_lo <= start < f_hi or b_lo < end <= b_hi]
                 return _assign(scopes, ruleset.table, concept) if scopes else _NO_CUE
+            memo[0] = (entry[0], walked, None)  # the first concept marks it, and resolves directed
     scopes = resolve_scopes(matches, ruleset, n, concept)
     return _assign(scopes, ruleset.table, concept) if scopes else _NO_CUE
 
@@ -406,10 +399,8 @@ def annotate_records(
         start, end = concept
         if 0 <= start < end <= n:
             if scopes is None:
-                if trie is not None:
-                    matches = find_matches_trie(trie, tokens)
-                else:
-                    matches = find_matches_naive(ruleset, tokens)
+                matches = (find_matches_trie(trie, tokens) if trie is not None
+                           else find_matches_naive(ruleset, tokens))
                 scopes = resolve_scopes(matches, ruleset, n) if matches else []
             yield _assign(scopes, table, concept) if scopes else _NO_CUE
         else:
