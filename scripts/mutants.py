@@ -137,23 +137,23 @@ MUTANTS: list[tuple[str, str, str]] = [
      "if not e.backward or m_start - e.window > c_end:"),
     # the memo of one sentence: the trie's entry, which annotate marks and fills
     ("ownership of the trie's entry tested by equal matches, not by identity",
-     "if walked and walked[0] is matches[0]:",
-     "if walked and walked[0] == matches[0]:"),
+     "if entry[1] and entry[1][0] is matches[0]:",
+     "if entry[1] and entry[1][0] == matches[0]:"),
     ("the ownership test of the trie's entry dropped",
-     "if walked and walked[0] is matches[0]:",
-     "if walked:"),
+     "if entry[1] and entry[1][0] is matches[0]:",
+     "if entry[1]:"),
     ("no guard for an entry with no matches",
-     "if walked and walked[0] is matches[0]:",
-     "if walked[0] is matches[0]:"),
+     "if entry[1] and entry[1][0] is matches[0]:",
+     "if entry[1][0] is matches[0]:"),
     ("state written onto another sentence's entry",
-     "if walked and walked[0] is matches[0]:",
-     "if walked and walked[0] is matches[0] or memo.__setitem__(0, (*entry[:2], None)):"),
+     "if entry[1] and entry[1][0] is matches[0]:",
+     "if entry[1] and entry[1][0] is matches[0] or trie._memo.__setitem__(0, (*entry[:2], None)):"),
     ("the memo key holding the caller's own list, not a copy",
-     "memo[0] = (entry[0], walked, None)",
-     "memo[0] = (tokens, walked, None)"),
+     "_memo[0] = (entry[0], entry[1], None)",
+     "_memo[0] = (tokens, entry[1], None)"),
     ("the entry never marked, so never filled",
-     "memo[0] = (entry[0], walked, None)",
-     "memo[0] = entry"),
+     "_memo[0] = (entry[0], entry[1], None)",
+     "_memo[0] = entry"),
     ("a fill on every later call",
      "if reach is None:",
      "if True:"),
@@ -161,24 +161,25 @@ MUTANTS: list[tuple[str, str, str]] = [
      "for scope in resolve_scopes(matches, ruleset, n):",
      "for scope in resolve_scopes(matches, ruleset, n, concept):"),
     ("a pick that resolves again",
-     "                scopes = [scope for scope, f_lo, f_hi, b_lo, b_hi in reach\n"
-     "                          if f_lo <= start < f_hi or b_lo < end <= b_hi]\n",
+     "                for scope, f_lo, f_hi, b_lo, b_hi in reach:\n"
+     "                    if f_lo <= start < f_hi or b_lo < end <= b_hi:\n"
+     "                        scopes.append(scope)\n",
      "                scopes = resolve_scopes(matches, ruleset, n, concept)\n"),
     ("the hit's forward lower bound off by one",
-     "if f_lo <= start < f_hi or b_lo < end <= b_hi]",
-     "if f_lo < start < f_hi or b_lo < end <= b_hi]"),
+     "if f_lo <= start < f_hi or b_lo < end <= b_hi:",
+     "if f_lo < start < f_hi or b_lo < end <= b_hi:"),
     ("the hit's forward upper bound off by one",
-     "if f_lo <= start < f_hi or b_lo < end <= b_hi]",
-     "if f_lo <= start <= f_hi or b_lo < end <= b_hi]"),
+     "if f_lo <= start < f_hi or b_lo < end <= b_hi:",
+     "if f_lo <= start <= f_hi or b_lo < end <= b_hi:"),
     ("the hit's backward lower bound off by one",
-     "if f_lo <= start < f_hi or b_lo < end <= b_hi]",
-     "if f_lo <= start < f_hi or b_lo <= end <= b_hi]"),
+     "if f_lo <= start < f_hi or b_lo < end <= b_hi:",
+     "if f_lo <= start < f_hi or b_lo <= end <= b_hi:"),
     ("the hit's backward upper bound off by one",
-     "if f_lo <= start < f_hi or b_lo < end <= b_hi]",
-     "if f_lo <= start < f_hi or b_lo < end < b_hi]"),
-    ("one store of the entry for every trie",
-     "memo = trie._memo\n        entry = memo[0]",
-     'memo = globals().setdefault("_MEMO", trie._memo)\n        entry = memo[0]'),
+     "if f_lo <= start < f_hi or b_lo < end <= b_hi:",
+     "if f_lo <= start < f_hi or b_lo < end < b_hi:"),
+    ("one store of the entry read for every trie",
+     "entry = trie._memo[0]",
+     'entry = globals().setdefault("_MEMO", trie._memo)[0]'),
     ("the record loop reading the trie entry's store",
      "scopes = resolve_scopes(matches, ruleset, n) if matches else []",
      "scopes = resolve_scopes(matches, ruleset, n) if matches else []\n"

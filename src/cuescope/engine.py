@@ -332,9 +332,11 @@ def annotate(
     their scopes from that store.  The
     entry is this call's when it holds the very matches the trie just
     returned, as every walk builds new ones; an entry another thread's
-    walk left is not written.  Each write stores a new tuple whole, so
-    threads may share a trie, and every call returns what a new trie
-    gives.  Without a trie nothing is kept.
+    walk left is not written.  Each write stores a new tuple whole, and
+    may replace an entry another thread stored meanwhile, which costs
+    that sentence a walk, never a result.  So threads may share a trie,
+    and every call returns what a new trie gives.  Without a trie nothing
+    is kept.
     """
     if trie is not None and trie.ruleset is not ruleset:
         _check_trie(trie, ruleset)
@@ -346,10 +348,9 @@ def annotate(
     if not matches:
         return _NO_CUE
     if trie is not None:
-        memo = trie._memo
-        entry = memo[0]
-        walked = entry[1]  # empty when another thread walked a sentence with no match
-        if walked and walked[0] is matches[0]:
+        entry = trie._memo[0]
+        # its matches are empty when another thread walked a sentence with none
+        if entry[1] and entry[1][0] is matches[0]:
             if len(entry) == 3:  # marked or filled: a later concept of the sentence
                 reach = entry[2]
                 if reach is None:  # the second concept resolves the sentence in full
@@ -361,11 +362,16 @@ def annotate(
                         # (lo, hi] of its end); a side the trigger does not act on is empty
                         reach.append((scope, cue.end, cue.end + window if forward else cue.end,
                                       cue.start - window if backward else cue.start, cue.start))
-                    memo[0] = (entry[0], walked, reach)
-                scopes = [scope for scope, f_lo, f_hi, b_lo, b_hi in reach
-                          if f_lo <= start < f_hi or b_lo < end <= b_hi]
+                    trie._memo[0] = (entry[0], entry[1], reach)
+                # a loop, not a comprehension, which would make start and end
+                # closure cells that every call pays for
+                scopes = []
+                for scope, f_lo, f_hi, b_lo, b_hi in reach:
+                    if f_lo <= start < f_hi or b_lo < end <= b_hi:
+                        scopes.append(scope)
                 return _assign(scopes, ruleset.table, concept) if scopes else _NO_CUE
-            memo[0] = (entry[0], walked, None)  # the first concept marks it, and resolves directed
+            # the first concept marks the entry, and resolves directed below
+            trie._memo[0] = (entry[0], entry[1], None)
     scopes = resolve_scopes(matches, ruleset, n, concept)
     return _assign(scopes, ruleset.table, concept) if scopes else _NO_CUE
 
@@ -399,8 +405,10 @@ def annotate_records(
         start, end = concept
         if 0 <= start < end <= n:
             if scopes is None:
-                matches = (find_matches_trie(trie, tokens) if trie is not None
-                           else find_matches_naive(ruleset, tokens))
+                if trie is not None:
+                    matches = find_matches_trie(trie, tokens)
+                else:
+                    matches = find_matches_naive(ruleset, tokens)
                 scopes = resolve_scopes(matches, ruleset, n) if matches else []
             yield _assign(scopes, table, concept) if scopes else _NO_CUE
         else:
